@@ -1,28 +1,26 @@
-"""Bench: simulator-core scale-up gate (calendar queue + fluid flows).
+"""Bench: simulator-core throughput on the binary-heap event engine.
 
-Measures the two workloads the simulator-core PR targets:
+Measures two workloads:
 
 * ``link_saturated`` — a deep bidirectional backlog of large transfers
-  on one duplex link, the workload the hybrid fluid-flow regime
-  collapses.  Run under three engines: the exact discrete-event engine
-  on the legacy binary heap, the same exact engine on the calendar
-  queue, and fluid mode (calendar queue + analytic windows).  The
-  acceptance floor is the *fluid vs heap* event-throughput speedup.
+  on one duplex link: every chunk re-plans the opposite direction's
+  rate (the paper's asymmetric bidirectional slowdown), so the run is
+  dominated by event-queue and link bookkeeping.  Reports the drain's
+  wall-clock seconds and the simulated makespan.  No floor: the
+  seconds depend on the runner.
 * ``serving_core`` — the end-to-end serving loop (dispatcher, batch
-  scheduler, prediction models, DES) at quick scale, in exact and
-  fluid mode.  The floor is *simulated requests per wall-clock
-  minute*, the capacity number the fault-domain serving work budgets
-  against.
+  scheduler, prediction models, DES) at quick scale.  The floor is
+  *simulated requests per wall-clock minute*, the capacity number the
+  fault-domain serving work budgets against.
 
 ``--record`` runs the workloads and writes
 ``results/BENCH_simcore.json``; ``--validate`` checks the committed
-document's schema, internal coherence (recorded ratios match the
-recorded timings), and the acceptance floors.  Validation reads the
+document's schema, internal coherence (the recorded rate matches the
+recorded timing), and the throughput floor.  Validation reads the
 committed JSON only — it never re-measures — so CI can enforce the
-floors deterministically on any runner.  ``--determinism`` proves the
-scale-up is semantics-preserving: same-seed exact-mode serve runs are
-byte-identical, heap and calendar schedulers emit byte-identical
-reports, and the fluid storm stays inside its pinned makespan error.
+floor deterministically on any runner.  ``--determinism`` checks that
+two same-seed serve runs emit byte-identical reports and two storm
+runs reach an equal makespan.
 
 Usage::
 
@@ -44,20 +42,16 @@ from pathlib import Path
 RESULTS_DIR = Path(__file__).parent / "results"
 DEFAULT_JSON = RESULTS_DIR / "BENCH_simcore.json"
 
-SCHEMA = "repro.bench_simcore/v1"
+SCHEMA = "repro.bench_simcore/v2"
 
-#: Acceptance floor (ISSUE 7): fluid mode must clear the heap engine by
-#: at least this factor on the link-saturated storm.
-SPEEDUP_FLOOR = 5.0
-
-#: Acceptance floor (ISSUE 7): simulated requests per wall-clock minute
-#: for the quick-scale serving core, in both exact and fluid mode.
+#: Acceptance floor: simulated requests per wall-clock minute
+#: for the quick-scale serving core.
 THROUGHPUT_FLOOR_PER_MIN = 100_000
 
 BENCH_SEED = 11
 
-#: 8 MiB — above the fluid collapse floor (~5.1 MB on this link), so
-#: the storm is window-eligible end to end.
+#: 8 MiB transfers: long byte-flow phases, so nearly every chunk
+#: overlaps the opposite direction and triggers a re-plan.
 CHUNK_BYTES = 8 << 20
 
 _SCALES = {
@@ -65,13 +59,6 @@ _SCALES = {
     "tiny":    (2_000,            128),
     "quick":   (20_000,           1_024),
     "paper":   (100_000,          4_096),
-}
-
-#: engine label -> (Simulator mode, scheduler kind)
-ENGINES = {
-    "exact_heap": ("exact", "heap"),
-    "exact_calendar": ("exact", "calendar"),
-    "fluid": ("fluid", "calendar"),
 }
 
 
@@ -91,17 +78,15 @@ def _storm_link(sim):
     )
 
 
-def run_link_storm(engine: str, n: int) -> dict:
+def run_link_storm(n: int) -> dict:
     """Drain a 2x``n``-chunk bidirectional backlog; time ``sim.run()``.
 
-    The backlog is submitted up front (deep FIFO, the fluid regime's
-    home turf); only the drain is timed, so the three engines are
-    compared on identical pending work.
+    The backlog is submitted up front (deep FIFO); only the drain is
+    timed.
     """
     from repro.sim import Direction, Simulator
 
-    mode, scheduler = ENGINES[engine]
-    sim = Simulator(mode=mode, scheduler=scheduler)
+    sim = Simulator()
     link = _storm_link(sim)
     for _ in range(n):
         link.submit(Direction.H2D, CHUNK_BYTES)
@@ -110,7 +95,7 @@ def run_link_storm(engine: str, n: int) -> dict:
     sim.run()
     seconds = time.perf_counter() - t0
     stats = link.stats(Direction.H2D)
-    assert stats.transfers == n, (engine, stats.transfers)
+    assert stats.transfers == n, stats.transfers
     return {"seconds": seconds, "makespan": sim.now}
 
 
@@ -130,19 +115,18 @@ def _serving_setup():
     return machine, models, make_requests
 
 
-def run_serving(machine, models, requests, mode: str) -> float:
+def run_serving(machine, models, requests) -> float:
     """Serve a pre-generated workload; time ``serve()`` only."""
     from repro.serve import BlasServer, ServerConfig
 
     server = BlasServer(machine, models,
-                        ServerConfig(n_gpus=4, seed=BENCH_SEED,
-                                     sim_mode=mode))
+                        ServerConfig(n_gpus=4, seed=BENCH_SEED))
     t0 = time.perf_counter()
     outcome = server.serve(requests)
     seconds = time.perf_counter() - t0
     # Conservation, not completion: at this depth some requests time
     # out, but every submitted request must reach a settled outcome.
-    assert len(outcome.requests) == len(requests), (mode, len(outcome.requests))
+    assert len(outcome.requests) == len(requests), len(outcome.requests)
     return seconds
 
 
@@ -158,30 +142,22 @@ def _best(fn, reps: int) -> float:
 def run_all(scale: str, reps: int) -> dict:
     n_chunks, n_requests = _SCALES[scale]
 
-    link_entry: dict = {"chunks_per_direction": n_chunks,
-                        "chunk_bytes": CHUNK_BYTES}
-    for engine in ENGINES:
-        seconds = _best(lambda: run_link_storm(engine, n_chunks)["seconds"],
-                        reps)
-        link_entry[f"{engine}_seconds"] = seconds
-        print(f"  link_saturated/{engine:<15} {seconds * 1e3:9.1f} ms  "
-              f"(best of {reps})")
-    link_entry["fluid_vs_heap_speedup"] = (
-        link_entry["exact_heap_seconds"] / link_entry["fluid_seconds"])
-    print(f"  link_saturated fluid-vs-heap speedup: "
-          f"{link_entry['fluid_vs_heap_speedup']:.2f}x")
+    storms = [run_link_storm(n_chunks) for _ in range(reps)]
+    link_entry = {"chunks_per_direction": n_chunks,
+                  "chunk_bytes": CHUNK_BYTES,
+                  "seconds": min(run["seconds"] for run in storms),
+                  "makespan": storms[0]["makespan"]}
+    print(f"  link_saturated {link_entry['seconds'] * 1e3:9.1f} ms  "
+          f"(best of {reps}), makespan {link_entry['makespan']:.6f} s")
 
     machine, models, make_requests = _serving_setup()
     requests = make_requests(n_requests)
-    serve_entry: dict = {"n_requests": n_requests}
-    for mode in ("exact", "fluid"):
-        seconds = _best(
-            lambda: run_serving(machine, models, requests, mode), reps)
-        per_min = n_requests / seconds * 60.0
-        serve_entry[f"{mode}_seconds"] = seconds
-        serve_entry[f"{mode}_requests_per_min"] = per_min
-        print(f"  serving_core/{mode:<7} {seconds * 1e3:9.1f} ms  "
-              f"-> {per_min:,.0f} req/min  (best of {reps})")
+    seconds = _best(lambda: run_serving(machine, models, requests), reps)
+    per_min = n_requests / seconds * 60.0
+    serve_entry = {"n_requests": n_requests, "seconds": seconds,
+                   "requests_per_min": per_min}
+    print(f"  serving_core   {seconds * 1e3:9.1f} ms  "
+          f"-> {per_min:,.0f} req/min  (best of {reps})")
 
     return {"link_saturated": link_entry, "serving_core": serve_entry}
 
@@ -192,7 +168,6 @@ def record(path: Path, scale: str, reps: int) -> dict:
         "schema": SCHEMA,
         "scale": scale,
         "reps": reps,
-        "speedup_floor": SPEEDUP_FLOOR,
         "throughput_floor_per_min": THROUGHPUT_FLOOR_PER_MIN,
     }
     doc.update(run_all(scale, reps))
@@ -226,76 +201,54 @@ def validate(path: Path, check_floors: bool = True) -> None:
     assert isinstance(link, dict), "missing link_saturated"
     assert isinstance(link.get("chunks_per_direction"), int) \
         and link["chunks_per_direction"] > 0
-    for engine in ENGINES:
-        _positive(link, "link_saturated", f"{engine}_seconds")
-    speedup = _positive(link, "link_saturated", "fluid_vs_heap_speedup")
-    want = link["exact_heap_seconds"] / link["fluid_seconds"]
-    assert abs(speedup - want) < 1e-9 * max(want, 1.0), \
-        f"fluid_vs_heap_speedup {speedup} != heap/fluid {want}"
+    _positive(link, "link_saturated", "seconds")
+    _positive(link, "link_saturated", "makespan")
 
     serve = doc.get("serving_core")
     assert isinstance(serve, dict), "missing serving_core"
     n = serve.get("n_requests")
     assert isinstance(n, int) and n > 0, f"bad n_requests: {n!r}"
-    for mode in ("exact", "fluid"):
-        seconds = _positive(serve, "serving_core", f"{mode}_seconds")
-        per_min = _positive(serve, "serving_core",
-                            f"{mode}_requests_per_min")
-        want = n / seconds * 60.0
-        assert abs(per_min - want) < 1e-9 * max(want, 1.0), \
-            f"{mode}_requests_per_min {per_min} != n/seconds*60 {want}"
+    seconds = _positive(serve, "serving_core", "seconds")
+    per_min = _positive(serve, "serving_core", "requests_per_min")
+    want = n / seconds * 60.0
+    assert abs(per_min - want) < 1e-9 * max(want, 1.0), \
+        f"requests_per_min {per_min} != n/seconds*60 {want}"
 
     if check_floors:
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"fluid vs heap speedup {speedup:.2f}x below the "
-            f"{SPEEDUP_FLOOR}x acceptance floor")
-        for mode in ("exact", "fluid"):
-            got = serve[f"{mode}_requests_per_min"]
-            assert got >= THROUGHPUT_FLOOR_PER_MIN, (
-                f"serving_core/{mode}: {got:,.0f} req/min below the "
-                f"{THROUGHPUT_FLOOR_PER_MIN:,} floor")
+        assert per_min >= THROUGHPUT_FLOOR_PER_MIN, (
+            f"serving_core: {per_min:,.0f} req/min below the "
+            f"{THROUGHPUT_FLOOR_PER_MIN:,} floor")
 
-    print(f"{path} valid: fluid-vs-heap "
-          f"{speedup:.2f}x, serving "
-          + ", ".join(f"{m}={serve[f'{m}_requests_per_min']:,.0f}/min"
-                      for m in ("exact", "fluid")))
+    print(f"{path} valid: storm {link['seconds']:.3f} s, serving "
+          f"{per_min:,.0f}/min")
 
 
 # ---------------------------------------------------------------------------
-# determinism proof (semantics preservation)
+# determinism checks
 # ---------------------------------------------------------------------------
 
-def _serve_doc_bytes(scheduler: str) -> bytes:
+def _serve_doc_bytes() -> bytes:
     from repro.serve import BlasServer, ServerConfig, serve_report
-    from repro.sim import use_scheduler
 
     machine, models, make_requests = _serving_setup()
     requests = make_requests(64)
-    with use_scheduler(scheduler):
-        server = BlasServer(machine, models,
-                            ServerConfig(n_gpus=4, seed=BENCH_SEED))
-        report = serve_report(server.serve(requests))
+    server = BlasServer(machine, models,
+                        ServerConfig(n_gpus=4, seed=BENCH_SEED))
+    report = serve_report(server.serve(requests))
     return json.dumps(report, sort_keys=True).encode()
 
 
 def check_determinism() -> None:
-    # Exact mode is byte-identical: across two same-seed runs, and
-    # across the heap and calendar schedulers.
-    a = _serve_doc_bytes("calendar")
-    b = _serve_doc_bytes("calendar")
-    assert a == b, "same-seed exact serve runs emitted different reports"
-    print(f"exact-mode determinism ok ({len(a)} bytes, byte-identical)")
-    h = _serve_doc_bytes("heap")
-    assert h == a, "heap and calendar schedulers emitted different reports"
-    print("heap-vs-calendar scheduler equivalence ok (byte-identical)")
+    a = _serve_doc_bytes()
+    b = _serve_doc_bytes()
+    assert a == b, "same-seed serve runs emitted different reports"
+    print(f"serve determinism ok ({len(a)} bytes, byte-identical)")
 
-    # Fluid mode engages on the storm and stays inside its error pin.
     n = _SCALES["tiny"][0]
-    exact = run_link_storm("exact_calendar", n)["makespan"]
-    fluid = run_link_storm("fluid", n)["makespan"]
-    err = abs(fluid - exact) / exact
-    assert err < 0.005, f"fluid makespan error {err:.4%} exceeds 0.5%"
-    print(f"fluid makespan pin ok ({err:.4%} error on {n}-chunk storm)")
+    first = run_link_storm(n)["makespan"]
+    second = run_link_storm(n)["makespan"]
+    assert first == second, f"storm makespans differ: {first} != {second}"
+    print(f"storm determinism ok ({n}-chunk storm, makespan {first:.6f} s)")
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +261,11 @@ def main(argv=None) -> int:
     parser.add_argument("--record", action="store_true",
                         help="run the workloads and write the JSON")
     parser.add_argument("--validate", action="store_true",
-                        help="validate the committed JSON schema + floors")
+                        help="validate the committed JSON schema + floor")
     parser.add_argument("--no-floor-gate", action="store_true",
                         help="with --validate: schema/coherence only")
     parser.add_argument("--determinism", action="store_true",
-                        help="run the semantics-preservation checks")
+                        help="run the same-seed determinism checks")
     args = parser.parse_args(argv)
 
     did_something = False

@@ -5,7 +5,7 @@ stream *exactly* — same events, same order, same float timestamps.  The
 simulation is pure IEEE-754 arithmetic with no RNG on the timing path
 (noise_sigma=0), and JSON round-trips floats through the shortest
 round-trip representation, so exact equality is the right check: any
-drift means the scheduler's issue order, the link's fluid model, or the
+drift means the scheduler's issue order, the link's byte-flow model, or the
 engine semantics changed, which silently invalidates every calibrated
 model database.
 

@@ -1,44 +1,23 @@
-"""Scheduler and fluid-mode equivalence suite.
+"""Engine reproducibility beyond the golden trace.
 
-The calendar queue is the default event scheduler; the binary heap
-stays in the tree as the reference implementation.  Both order events
-by the identical ``(time, seq)`` key, so *every* observable — trace
-bytes, makespans, serving documents — must be byte-identical under
-either scheduler, on every seed workload the repo ships: the golden
-dgemm trace, a fig7-style noisy tile sweep, a served workload, and a
-chaos scenario.  These tests are the lock on that contract; a diff
-here means the scheduler swap changed simulation semantics.
-
-Fluid mode (``Simulator(mode="fluid")``) is an approximation by
-design: collapsed windows ignore the opposite direction's latency-phase
-gaps while both directions are busy.  Its contract is different and
-pinned separately — uncontended workloads stay bit-identical, contended
-makespans stay within 0.5% of exact, and the collapse must actually
-engage (``windows > 0``) on the workloads sized for it.
+``tests/obs/test_golden_trace.py`` pins one noise-free dgemm event
+stream, and ``tests/test_golden_documents.py`` pins the CLI documents.
+This module covers what those leave out: a *noisy* tile sweep replays
+event-for-event under the same seed, and a deep bidirectional chunk
+storm on one duplex link (the simulator-core benchmark's workload)
+conserves every byte and yields a trace that passes the structural
+invariants, and contention arriving mid-storm is re-planned without
+losing or reordering a transfer.
 """
 
-import json
-
 from repro.obs import verify_trace
-from repro.serve import (
-    BlasServer,
-    ServerConfig,
-    WorkloadSpec,
-    generate_workload,
-    serve_document,
-)
-from repro.serve.chaos import run_chaos
-from repro.sim import (
-    Direction,
-    DuplexLink,
-    LinkDirectionConfig,
-    Simulator,
-    use_scheduler,
-)
+from repro.runtime.routines import CoCoPeLiaLibrary
+from repro.sim import Direction, DuplexLink, LinkDirectionConfig, Simulator
+from repro.sim.trace import TraceRecorder
 
-from tests.obs.test_golden_trace import load_golden, run_golden_workload
-
-SCHEDULERS = ("heap", "calendar")
+_H2D = LinkDirectionConfig(latency=1e-5, bandwidth=8e9, bid_slowdown=1.3)
+_D2H = LinkDirectionConfig(latency=1e-5, bandwidth=6e9, bid_slowdown=1.8)
+_CHUNK = 8 << 20
 
 
 def _trace_rows(trace):
@@ -46,151 +25,67 @@ def _trace_rows(trace):
             for ev in trace.events]
 
 
-def _doc_bytes(doc) -> bytes:
-    return json.dumps(doc, sort_keys=True).encode()
-
-
-class TestSchedulerByteIdentity:
-    def test_golden_workload_identical_across_schedulers(self):
-        runs = {}
-        for kind in SCHEDULERS:
-            with use_scheduler(kind):
-                result, trace = run_golden_workload()
-            runs[kind] = (result.seconds, _trace_rows(trace))
-        assert runs["heap"] == runs["calendar"]
-
-    def test_golden_workload_matches_committed_trace_under_heap(self):
-        # The committed golden file was minted before the calendar
-        # queue existed; the heap must still reproduce it exactly, so
-        # the file anchors both schedulers transitively.
-        golden = load_golden()
-        with use_scheduler("heap"):
-            result, trace = run_golden_workload()
-        assert result.seconds == golden["seconds"]
-        got = [{"engine": e, "tag": t, "start": s, "end": en,
-                "nbytes": nb, "flops": fl}
-               for e, t, s, en, nb, fl in _trace_rows(trace)]
-        assert got == golden["events"]
-
-    def test_fig7_style_noisy_sweep_identical_across_schedulers(self, tb2):
-        # A fig7-shaped slice: one machine, noisy, several tile sizes —
-        # the workload class behind the paper's performance figure.
-        from repro.runtime.routines import CoCoPeLiaLibrary
-
-        runs = {}
-        for kind in SCHEDULERS:
-            with use_scheduler(kind):
-                lib = CoCoPeLiaLibrary(tb2, seed=13, trace=True)
-                seconds = []
-                rows = []
-                for t in (256, 512):
-                    res = lib.gemm(m=1024, n=1024, k=1024, tile_size=t)
-                    seconds.append(res.seconds)
-                    rows.extend(_trace_rows(lib.last_trace))
-            runs[kind] = (seconds, rows)
-        assert runs["heap"] == runs["calendar"]
-
-    def test_serving_document_identical_across_schedulers(self, tb2,
-                                                          models_tb2):
-        spec = WorkloadSpec(n_requests=24, rate=4000.0, seed=5)
-        docs = {}
-        for kind in SCHEDULERS:
-            with use_scheduler(kind):
-                server = BlasServer(tb2, models_tb2,
-                                    ServerConfig(n_gpus=2, seed=5))
-                outcome = server.serve(generate_workload(spec))
-                docs[kind] = _doc_bytes(serve_document(outcome))
-        assert docs["heap"] == docs["calendar"]
-
-    def test_chaos_document_identical_across_schedulers(self, tb2,
-                                                        models_tb2):
-        spec = WorkloadSpec(n_requests=24, rate=8000.0, seed=11)
-        config = ServerConfig(n_gpus=4, seed=11)
-        docs = {}
-        for kind in SCHEDULERS:
-            with use_scheduler(kind):
-                docs[kind] = _doc_bytes(run_chaos(
-                    tb2, models_tb2, "kill-one-gpu", spec=spec,
-                    config=config, seed=11))
-        assert docs["heap"] == docs["calendar"]
-
-
-# Link shaped so 8 MiB chunks are fluid-eligible: the collapse floor is
-# FLUID_MIN_FLOW_RATIO * max_latency * bandwidth ~ 5.1 MB.
-_H2D = LinkDirectionConfig(latency=1e-5, bandwidth=8e9, bid_slowdown=1.3)
-_D2H = LinkDirectionConfig(latency=1e-5, bandwidth=6e9, bid_slowdown=1.8)
-_CHUNK = 8 << 20
-
-
-def _storm(mode: str, n_h2d: int, n_d2h: int):
+def _storm(n_h2d: int, n_d2h: int, trace=None):
     """Submit chunk storms in both directions and run to completion."""
-    sim = Simulator(mode=mode)
-    link = DuplexLink(sim, _H2D, _D2H)
+    sim = Simulator()
+    link = DuplexLink(sim, _H2D, _D2H, trace=trace)
     for i in range(n_h2d):
-        link.submit(Direction.H2D, _CHUNK, tag=f"h2d#{i}")
+        link.submit(Direction.H2D, _CHUNK, tag=f"h2d:X({i},0)")
     for i in range(n_d2h):
-        link.submit(Direction.D2H, _CHUNK, tag=f"d2h#{i}")
+        link.submit(Direction.D2H, _CHUNK, tag=f"d2h:Y({i},0)")
     sim.run()
     return sim, link
 
 
-class TestFluidModePins:
-    def test_uncontended_storm_bit_identical_to_exact(self):
-        exact_sim, exact_link = _storm("exact", 200, 0)
-        fluid_sim, fluid_link = _storm("fluid", 200, 0)
-        assert fluid_link.fluid_stats.windows > 0
-        assert fluid_sim.now == exact_sim.now
-        for d in Direction:
-            es, fs = exact_link.stats(d), fluid_link.stats(d)
-            assert (fs.transfers, fs.bytes_moved) == (es.transfers,
-                                                      es.bytes_moved)
-            assert fs.busy_time == es.busy_time
-            assert fs.flow_time == es.flow_time
+def test_fig7_style_noisy_sweep_replays_exactly(tb2):
+    # A fig7-shaped slice: one machine, noisy, several tile sizes —
+    # the workload class behind the paper's performance figure.
+    def sweep():
+        lib = CoCoPeLiaLibrary(tb2, seed=13, trace=True)
+        seconds, rows = [], []
+        for t in (256, 512):
+            res = lib.gemm(m=1024, n=1024, k=1024, tile_size=t)
+            seconds.append(res.seconds)
+            rows.extend(_trace_rows(lib.last_trace))
+        return seconds, rows
 
-    def test_contended_storm_makespan_within_half_percent(self):
-        exact_sim, _ = _storm("exact", 200, 200)
-        fluid_sim, fluid_link = _storm("fluid", 200, 200)
-        assert fluid_link.fluid_stats.windows > 0
-        error = abs(fluid_sim.now - exact_sim.now) / exact_sim.now
-        assert error < 0.005, f"fluid makespan error {error:.4%} >= 0.5%"
-        # Conservation: every byte of every chunk still moved.
-        for d in Direction:
-            stats = fluid_link.stats(d)
-            assert stats.transfers == 200
-            assert stats.bytes_moved == 200 * _CHUNK
+    assert sweep() == sweep()
 
-    def test_fluid_makespan_never_drifts_on_asymmetric_storms(self):
-        for n_h2d, n_d2h in ((50, 8), (8, 50), (120, 60)):
-            exact_sim, _ = _storm("exact", n_h2d, n_d2h)
-            fluid_sim, _ = _storm("fluid", n_h2d, n_d2h)
-            error = abs(fluid_sim.now - exact_sim.now) / exact_sim.now
-            assert error < 0.005, (
-                f"storm ({n_h2d},{n_d2h}): error {error:.4%}")
 
-    def test_fluid_serving_completes_the_whole_workload(self, tb2,
-                                                        models_tb2):
-        spec = WorkloadSpec(n_requests=16, rate=2000.0, seed=4)
-        exact = BlasServer(tb2, models_tb2,
-                           ServerConfig(n_gpus=2, seed=4)).serve(
-                               generate_workload(spec))
-        fluid = BlasServer(tb2, models_tb2,
-                           ServerConfig(n_gpus=2, seed=4,
-                                        sim_mode="fluid")).serve(
-                               generate_workload(spec))
-        done = lambda o: sorted(r.req_id for r in o.requests
-                                if r.completion_t is not None)
-        assert done(fluid) == done(exact)
+def test_contended_storm_conserves_every_byte():
+    sim, link = _storm(200, 200)
+    for d in Direction:
+        stats = link.stats(d)
+        assert stats.transfers == 200
+        assert stats.bytes_moved == 200 * _CHUNK
+    # Both directions contend for most of the run, so the makespan
+    # exceeds the slower direction's uncontended byte time.
+    assert sim.now > 200 * _CHUNK / _D2H.bandwidth
 
-    def test_fluid_trace_passes_invariants(self):
-        from repro.sim.trace import TraceRecorder
 
-        sim = Simulator(mode="fluid")
-        trace = TraceRecorder()
-        link = DuplexLink(sim, _H2D, _D2H, trace=trace)
-        for i in range(30):
-            link.submit(Direction.H2D, _CHUNK, tag=f"h2d:X({i},0)")
-        sim.run()
-        assert link.fluid_stats.windows > 0
-        verify_trace(trace)
-        tags = [ev.tag for ev in trace.events]
-        assert any(tag.startswith("fluid:h2d#") for tag in tags)
+def test_mid_storm_contention_onset_conserves_and_slows_the_storm():
+    # The opposite direction wakes up halfway through an H2D storm: the
+    # link re-plans the in-flight transfer at the BTS rate, and nothing
+    # is lost or double-counted across the re-plan.
+    sim = Simulator()
+    link = DuplexLink(sim, _H2D, _D2H)
+    order = []
+    for i in range(40):
+        link.submit(Direction.H2D, _CHUNK,
+                    on_complete=lambda i=i: order.append(i))
+    t_mid = 20 * _CHUNK / _H2D.bandwidth
+    sim.schedule_at(t_mid, lambda: link.submit(Direction.D2H, _CHUNK))
+    sim.run()
+    assert order == list(range(40))
+    assert link.stats(Direction.H2D).transfers == 40
+    assert link.stats(Direction.H2D).bytes_moved == 40 * _CHUNK
+    assert link.stats(Direction.D2H).transfers == 1
+    uncontended = 40 * (_H2D.latency + _CHUNK / _H2D.bandwidth)
+    assert sim.now > uncontended
+
+
+def test_storm_trace_passes_invariants():
+    trace = TraceRecorder()
+    _storm(30, 10, trace=trace)
+    assert len(trace.events) == 40
+    verify_trace(trace)

@@ -12,9 +12,7 @@ ordering comments in ``repro/serve/server.py`` reference this module:
   decision;
 * equal-time arrivals dispatch in ``(arrival, req_id)`` order.
 
-Every contract is checked under both event schedulers: the tie
-resolution must be a property of the ``(time, seq)`` key, not of heap
-or calendar internals.
+The tie resolution is a property of the ``(time, seq)`` queue key.
 """
 
 import numpy as np
@@ -22,15 +20,13 @@ import pytest
 
 from repro.core import gemm_problem
 from repro.serve import BlasServer, Request, ServerConfig
-from repro.sim import Simulator, use_scheduler
+from repro.sim import Simulator
 from repro.sim.faults import DeviceFailure, FaultPlan
 
-SCHEDULERS = ("heap", "calendar")
 
-
-@pytest.fixture(params=SCHEDULERS)
-def sim(request):
-    return Simulator(scheduler=request.param)
+@pytest.fixture
+def sim():
+    return Simulator()
 
 
 class TestFifoWithinTimestamp:
@@ -90,9 +86,7 @@ class TestWatchdogDeadlineTie:
     and a completed batch become schedule-dependent.
     """
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_watchdog_scheduled_first_wins_the_tie(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_watchdog_scheduled_first_wins_the_tie(self, sim):
         outcome = []
         settled = []
 
@@ -111,9 +105,7 @@ class TestWatchdogDeadlineTie:
         sim.run()
         assert outcome == ["timeout"]
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_earlier_completion_cancels_the_watchdog(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_earlier_completion_cancels_the_watchdog(self, sim):
         outcome = []
         watchdog = sim.schedule(2.0, lambda: outcome.append("timeout"))
 
@@ -132,9 +124,8 @@ class TestLifecycleArrivalTie:
                        problem=gemm_problem(512, 512, 512, np.float64),
                        arrival=arrival)
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_failure_at_arrival_instant_is_seen_by_placement(
-            self, scheduler, tb2, models_tb2):
+            self, tb2, models_tb2):
         # gpu0 dies at exactly t=0.005; the request arriving at that
         # same instant must be placed against the post-fault health
         # state — it never touches the dead device and needs no
@@ -143,24 +134,21 @@ class TestLifecycleArrivalTie:
         t = 0.005
         plan = FaultPlan(name="tie", lifecycle=(
             DeviceFailure(device=0, onset=t),))
-        with use_scheduler(scheduler):
-            server = BlasServer(tb2.with_faults(plan), models_tb2,
-                                ServerConfig(n_gpus=1, seed=0))
-            outcome = server.serve([self._request(0, t)])
+        server = BlasServer(tb2.with_faults(plan), models_tb2,
+                            ServerConfig(n_gpus=1, seed=0))
+        outcome = server.serve([self._request(0, t)])
         (req,) = outcome.requests
         assert req.completion_t is not None
         assert req.worker != "gpu0"
         assert req.requeues == 0
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_equal_time_arrivals_dispatch_in_req_id_order(
-            self, scheduler, tb2, models_tb2):
+            self, tb2, models_tb2):
         t = 0.002
         requests = [self._request(1, t), self._request(0, t)]
-        with use_scheduler(scheduler):
-            server = BlasServer(tb2, models_tb2,
-                                ServerConfig(n_gpus=1, seed=0))
-            outcome = server.serve(requests)
+        server = BlasServer(tb2, models_tb2,
+                            ServerConfig(n_gpus=1, seed=0))
+        outcome = server.serve(requests)
         by_id = {r.req_id: r for r in outcome.requests}
         assert by_id[0].enqueue_t == by_id[1].enqueue_t == t
         # req 0 is admitted first, so its service can never start after

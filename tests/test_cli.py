@@ -123,6 +123,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    @pytest.mark.parametrize("argv", [
+        ["profile", "gemm", "512", "512", "512"],
+        ["summa"],
+        ["serve"],
+        ["chaos"],
+        ["cluster"],
+        ["experiment", "fig7"],
+    ], ids=lambda argv: argv[0])
+    def test_no_engine_selection_flags(self, argv):
+        # There is one event engine; no subcommand exposes a knob that
+        # swaps the scheduler or the simulation mode.
+        build_parser().parse_args(argv)
+        for flag, value in (("--scheduler", "heap"),
+                            ("--sim-mode", "exact")):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + [flag, value])
+
 
 class TestSyrkCli:
     def test_run_syrk(self, capsys, db_dir):
@@ -237,30 +254,3 @@ class TestSummaCli:
             "--db-dir", db_dir, "--out-dir", str(tmp_path))
         assert code == 0
         assert "all_to_all" in out
-
-
-class TestProfileScheduler:
-    def test_profile_documents_identical_calendar_vs_heap(
-            self, capsys, db_dir, tmp_path):
-        """Satellite pin: the event-queue implementation is invisible
-        in profile output, down to the byte, including multi-GPU."""
-        docs = {}
-        for sched in ("calendar", "heap"):
-            out_dir = tmp_path / sched
-            code, _, _ = run_cli(
-                capsys, "profile", "gemm", "512", "512", "512",
-                "--gpus", "2", "--scheduler", sched,
-                "--scale", "tiny", "--db-dir", db_dir,
-                "--out-dir", str(out_dir))
-            assert code == 0
-            docs[sched] = ((out_dir / "profile.json").read_bytes(),
-                           (out_dir / "trace.json").read_bytes())
-        assert docs["calendar"] == docs["heap"]
-
-    def test_profile_accepts_sim_mode(self, capsys, db_dir, tmp_path):
-        code, out, _ = run_cli(
-            capsys, "profile", "gemm", "512", "512", "512",
-            "--sim-mode", "fluid", "--scale", "tiny",
-            "--db-dir", db_dir, "--out-dir", str(tmp_path))
-        assert code == 0
-        assert "overlap" in out
