@@ -38,9 +38,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from ..errors import ReproError
+from ..obs.schema import Schema
 from ..obs.stats import latency_summary
-from ..serve.report import validate_tail_block
 from .coordinator import ClusterOutcome
 from .router import ROUTER_POLICIES
 
@@ -126,152 +125,99 @@ def dump_cluster_document(doc: Dict[str, object]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# schema validation (mirrors serve/report.py: JSON-path error messages)
-# ---------------------------------------------------------------------------
-
-def _fail(path: str, message: str) -> None:
-    raise ReproError(f"invalid cluster document at {path}: {message}")
-
-
-def _expect(doc: dict, path: str, key: str, types, allow_none=False):
-    if key not in doc:
-        _fail(f"{path}.{key}", "missing required field")
-    value = doc[key]
-    if value is None:
-        if allow_none:
-            return None
-        _fail(f"{path}.{key}", "must not be null")
-    if isinstance(value, bool) and types is not bool:
-        _fail(f"{path}.{key}", f"expected {types}, got bool")
-    if not isinstance(value, types):
-        names = getattr(types, "__name__", None) or "/".join(
-            t.__name__ for t in types)
-        _fail(f"{path}.{key}", f"expected {names}, got {type(value).__name__}")
-    return value
-
-
-def _expect_number(doc: dict, path: str, key: str, allow_none=False):
-    return _expect(doc, path, key, (int, float), allow_none=allow_none)
-
-
-def _expect_count(doc: dict, path: str, key: str) -> int:
-    value = _expect(doc, path, key, int)
-    if value < 0:
-        _fail(f"{path}.{key}", f"must be >= 0, got {value}")
-    return value
-
-
-def _expect_summary(parent: dict, path: str, key: str) -> None:
-    summary = _expect(parent, path, key, dict, allow_none=True)
-    if summary is None:
-        return
-    spath = f"{path}.{key}"
-    _expect(summary, spath, "n", int)
-    for fld in ("mean", "min", "max", "p50", "p95", "p99"):
-        _expect_number(summary, spath, fld)
+_CHECK = Schema("cluster")
 
 
 def validate_cluster_json(doc: object) -> None:
     """Check a cluster document against schema v1; raise on mismatch."""
-    if not isinstance(doc, dict):
-        _fail("$", f"expected an object, got {type(doc).__name__}")
-    schema = _expect(doc, "$", "schema", str)
+    check = _CHECK
+    check.value(doc, "$", dict)
+    schema = check.expect(doc, "$", "schema", str)
     if schema != CLUSTER_SCHEMA_VERSION:
-        _fail("$.schema",
-              f"expected {CLUSTER_SCHEMA_VERSION!r}, got {schema!r}")
-    _expect(doc, "$", "context", dict)
+        check.fail("$.schema",
+                   f"expected {CLUSTER_SCHEMA_VERSION!r}, got {schema!r}")
+    check.expect(doc, "$", "context", dict)
 
-    report = _expect(doc, "$", "report", dict)
+    report = check.expect(doc, "$", "report", dict)
 
-    fleet = _expect(report, "$.report", "fleet", dict)
-    requests = _expect(fleet, "$.report.fleet", "requests", dict)
+    fleet = check.expect(report, "$.report", "fleet", dict)
+    requests = check.expect(fleet, "$.report.fleet", "requests", dict)
     for key in ("total", "completed", "shed", "failed", "migrations"):
-        _expect_count(requests, "$.report.fleet.requests", key)
-    slo = _expect(requests, "$.report.fleet.requests", "slo", dict)
+        check.count(requests, "$.report.fleet.requests", key)
+    slo = check.expect(requests, "$.report.fleet.requests", "slo", dict)
     for key in ("met", "missed"):
-        _expect_count(slo, "$.report.fleet.requests.slo", key)
-    attainment = _expect_number(slo, "$.report.fleet.requests.slo",
-                                "attainment")
-    if not 0.0 <= attainment <= 1.0:
-        _fail("$.report.fleet.requests.slo.attainment",
-              f"must be in [0, 1], got {attainment}")
+        check.count(slo, "$.report.fleet.requests.slo", key)
+    check.fraction(slo, "$.report.fleet.requests.slo", "attainment")
     total = requests["total"]
     if requests["completed"] + requests["shed"] + requests["failed"] > total:
-        _fail("$.report.fleet.requests",
-              "completed + shed + failed exceeds total")
-    _expect_summary(fleet, "$.report.fleet", "latency")
+        check.fail("$.report.fleet.requests",
+                   "completed + shed + failed exceeds total")
+    check.latency_summary(fleet, "$.report.fleet", "latency")
     for key in ("throughput_rps", "makespan"):
-        value = _expect_number(fleet, "$.report.fleet", key)
-        if value < 0:
-            _fail(f"$.report.fleet.{key}", f"must be >= 0, got {value}")
-    provisioned = _expect_count(fleet, "$.report.fleet", "nodes_provisioned")
-    final = _expect_count(fleet, "$.report.fleet", "nodes_final")
+        check.number(fleet, "$.report.fleet", key, minimum=0)
+    provisioned = check.count(fleet, "$.report.fleet", "nodes_provisioned")
+    final = check.count(fleet, "$.report.fleet", "nodes_final")
     if final > provisioned:
-        _fail("$.report.fleet.nodes_final",
-              f"exceeds nodes_provisioned ({final} > {provisioned})")
+        check.fail("$.report.fleet.nodes_final",
+                   f"exceeds nodes_provisioned ({final} > {provisioned})")
     if "prediction" in fleet:
-        prediction = _expect(fleet, "$.report.fleet", "prediction", dict)
-        tail = _expect(prediction, "$.report.fleet.prediction", "tail", dict)
-        validate_tail_block(tail, "$.report.fleet.prediction.tail",
-                            fail=_fail)
+        prediction = check.expect(fleet, "$.report.fleet", "prediction", dict)
+        tail = check.expect(prediction, "$.report.fleet.prediction", "tail",
+                            dict)
+        check.tail_block(tail, "$.report.fleet.prediction.tail")
 
-    nodes = _expect(report, "$.report", "nodes", list)
+    nodes = check.expect(report, "$.report", "nodes", list)
     if len(nodes) != provisioned:
-        _fail("$.report.nodes",
-              f"length {len(nodes)} != nodes_provisioned {provisioned}")
+        check.fail("$.report.nodes",
+                   f"length {len(nodes)} != nodes_provisioned {provisioned}")
     for i, node in enumerate(nodes):
         path = f"$.report.nodes[{i}]"
-        if not isinstance(node, dict):
-            _fail(path, "expected an object")
-        _expect(node, path, "node", str)
-        state = _expect(node, path, "state", str)
+        check.value(node, path, dict)
+        check.expect(node, path, "node", str)
+        state = check.expect(node, path, "state", str)
         if state not in ("warming", "active", "draining", "stopped"):
-            _fail(f"{path}.state", f"unknown node state {state!r}")
+            check.fail(f"{path}.state", f"unknown node state {state!r}")
         for key in ("provisioned_t", "available_t"):
-            _expect_number(node, path, key)
-        _expect_number(node, path, "stopped_t", allow_none=True)
+            check.number(node, path, key)
+        check.number(node, path, "stopped_t", allow_none=True)
         for key in ("routed", "completed", "shed", "failed",
                     "migrated_out", "batches"):
-            _expect_count(node, path, key)
-        nslo = _expect(node, path, "slo", dict)
+            check.count(node, path, key)
+        nslo = check.expect(node, path, "slo", dict)
         for key in ("met", "missed"):
-            _expect_count(nslo, f"{path}.slo", key)
-        _expect_summary(node, path, "latency")
-        _expect_number(node, path, "busy_seconds")
+            check.count(nslo, f"{path}.slo", key)
+        check.latency_summary(node, path, "latency")
+        check.number(node, path, "busy_seconds")
 
-    scaling = _expect(report, "$.report", "scaling", dict)
-    events = _expect(scaling, "$.report.scaling", "events", list)
+    scaling = check.expect(report, "$.report", "scaling", dict)
+    events = check.expect(scaling, "$.report.scaling", "events", list)
     for i, event in enumerate(events):
         path = f"$.report.scaling.events[{i}]"
-        if not isinstance(event, dict):
-            _fail(path, "expected an object")
-        t = _expect_number(event, path, "t")
-        if t < 0:
-            _fail(f"{path}.t", f"must be >= 0, got {t}")
-        action = _expect(event, path, "action", str)
+        check.value(event, path, dict)
+        check.number(event, path, "t", minimum=0)
+        action = check.expect(event, path, "action", str)
         if action not in ("up", "down", "kill"):
-            _fail(f"{path}.action", f"unknown action {action!r}")
-        _expect(event, path, "reason", dict)
+            check.fail(f"{path}.action", f"unknown action {action!r}")
+        check.expect(event, path, "reason", dict)
     for key in ("scale_ups", "scale_downs", "kills"):
-        _expect_count(scaling, "$.report.scaling", key)
+        check.count(scaling, "$.report.scaling", key)
 
-    routing = _expect(report, "$.report", "routing", dict)
-    policy = _expect(routing, "$.report.routing", "policy", str)
+    routing = check.expect(report, "$.report", "routing", dict)
+    policy = check.expect(routing, "$.report.routing", "policy", str)
     if policy not in ROUTER_POLICIES:
-        _fail("$.report.routing.policy", f"unknown policy {policy!r}")
-    _expect_count(routing, "$.report.routing", "spills")
+        check.fail("$.report.routing.policy", f"unknown policy {policy!r}")
+    check.count(routing, "$.report.routing", "spills")
 
-    conservation = _expect(report, "$.report", "conservation", dict)
-    _expect(conservation, "$.report.conservation", "ok", bool)
+    conservation = check.expect(report, "$.report", "conservation", dict)
+    check.expect(conservation, "$.report.conservation", "ok", bool)
     for key in ("accounted", "conserved"):
-        _expect_count(conservation, "$.report.conservation", key)
-    violations = _expect(conservation, "$.report.conservation",
-                         "violations", list)
+        check.count(conservation, "$.report.conservation", key)
+    violations = check.expect(conservation, "$.report.conservation",
+                              "violations", list)
     for i, message in enumerate(violations):
         if not isinstance(message, str):
-            _fail(f"$.report.conservation.violations[{i}]",
-                  "expected a string")
+            check.fail(f"$.report.conservation.violations[{i}]",
+                       "expected a string")
     if conservation["ok"] and violations:
-        _fail("$.report.conservation",
-              "ok is true but violations are present")
+        check.fail("$.report.conservation",
+                   "ok is true but violations are present")

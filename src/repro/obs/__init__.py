@@ -10,6 +10,9 @@ update a :class:`MetricsRegistry`; this package turns those into
 * machine-checked structural invariants (:mod:`repro.obs.verify`,
   the ``check_trace`` pytest fixture).
 
+Every versioned JSON document the package and the serving layers emit
+is validated through one checker, :mod:`repro.obs.schema`.
+
 This package depends only on :mod:`repro.errors` and
 :mod:`repro.sim.trace`; the runtime layers never import it — they take
 an optional duck-typed ``metrics`` object instead — so observability

@@ -37,6 +37,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError
 from ..sim.trace import TraceEvent, TraceRecorder
+from .schema import NUMBER, Schema
 
 Span = Tuple[float, float]
 
@@ -363,36 +364,16 @@ def profile_document(
     return doc
 
 
-def _fail(path: str, message: str) -> None:
-    raise ReproError(f"invalid profile document at {path}: {message}")
+_CHECK = Schema("profile")
 
 
-def _expect(doc: dict, path: str, key: str, types, allow_none=False):
-    if key not in doc:
-        _fail(f"{path}.{key}", "missing required field")
-    value = doc[key]
-    if value is None:
-        if allow_none:
-            return None
-        _fail(f"{path}.{key}", "must not be null")
-    if isinstance(value, bool) or not isinstance(value, types):
-        names = getattr(types, "__name__", None) or "/".join(
-            t.__name__ for t in types)
-        _fail(f"{path}.{key}", f"expected {names}, got {type(value).__name__}")
-    return value
-
-
-def _expect_number(doc: dict, path: str, key: str, allow_none=False):
-    return _expect(doc, path, key, (int, float), allow_none=allow_none)
-
-
-def _expect_spans(doc: dict, path: str, key: str) -> None:
-    spans = _expect(doc, path, key, list)
-    for i, span in enumerate(spans):
+def _spans(doc: dict, path: str, key: str) -> None:
+    for i, span in enumerate(_CHECK.expect(doc, path, key, list)):
         if (not isinstance(span, list) or len(span) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                or any(isinstance(v, bool) or not isinstance(v, NUMBER)
                        for v in span)):
-            _fail(f"{path}.{key}[{i}]", "expected a [start, end] number pair")
+            _CHECK.fail(f"{path}.{key}[{i}]",
+                        "expected a [start, end] number pair")
 
 
 def validate_profile_json(doc: object) -> None:
@@ -401,75 +382,40 @@ def validate_profile_json(doc: object) -> None:
     The error message carries the JSON path of the first offending
     field, so CI smoke jobs report precisely what drifted.
     """
-    if not isinstance(doc, dict):
-        _fail("$", f"expected an object, got {type(doc).__name__}")
-    schema = _expect(doc, "$", "schema", str)
+    check = _CHECK
+    check.value(doc, "$", dict)
+    schema = check.expect(doc, "$", "schema", str)
     if schema != PROFILE_SCHEMA_VERSION:
-        _fail("$.schema", f"expected {PROFILE_SCHEMA_VERSION!r}, "
-                          f"got {schema!r}")
-    _expect(doc, "$", "context", dict)
+        check.fail("$.schema", f"expected {PROFILE_SCHEMA_VERSION!r}, "
+                               f"got {schema!r}")
+    check.expect(doc, "$", "context", dict)
 
-    report = _expect(doc, "$", "report", dict)
+    report = check.expect(doc, "$", "report", dict)
     for key in ("t_start", "t_end", "t_total", "total_busy_time",
-                "overlap_time", "overlap_fraction", "overlap_efficiency"):
-        _expect_number(report, "$.report", key)
+                "overlap_time"):
+        check.number(report, "$.report", key)
     for key in ("overlap_fraction", "overlap_efficiency"):
-        value = report[key]
-        if not 0.0 <= value <= 1.0:
-            _fail(f"$.report.{key}", f"must be in [0, 1], got {value}")
-    engines = _expect(report, "$.report", "engines", dict)
+        check.fraction(report, "$.report", key)
+    engines = check.expect(report, "$.report", "engines", dict)
     for name, prof in engines.items():
         path = f"$.report.engines.{name}"
-        if not isinstance(prof, dict):
-            _fail(path, "expected an object")
-        _expect(prof, path, "events", int)
+        check.value(prof, path, dict)
+        check.expect(prof, path, "events", int)
         for key in ("busy_time", "idle_time", "utilization"):
-            _expect_number(prof, path, key)
-        _expect_spans(prof, path, "busy_spans")
-        _expect_spans(prof, path, "idle_spans")
-    critical = _expect(report, "$.report", "critical_path", dict)
+            check.number(prof, path, key)
+        _spans(prof, path, "busy_spans")
+        _spans(prof, path, "idle_spans")
+    critical = check.expect(report, "$.report", "critical_path", dict)
     for key in ("compute", "exposed_transfer", "idle"):
-        _expect_number(critical, "$.report.critical_path", key)
-    traffic = _expect(report, "$.report", "traffic", dict)
+        check.number(critical, "$.report.critical_path", key)
+    traffic = check.expect(report, "$.report", "traffic", dict)
     for key in ("events", "h2d_bytes", "d2h_bytes", "flops"):
-        _expect_number(traffic, "$.report.traffic", key)
-    prediction = report.get("prediction")
-    if prediction is not None:
-        if not isinstance(prediction, dict):
-            _fail("$.report.prediction", "expected an object or null")
-        _expect_number(prediction, "$.report.prediction", "predicted_seconds")
-        _expect(prediction, "$.report.prediction", "model", str,
-                allow_none=True)
-        _expect_number(prediction, "$.report.prediction", "error_pct",
-                       allow_none=True)
+        check.number(traffic, "$.report.traffic", key)
+    if report.get("prediction") is not None:
+        path = "$.report.prediction"
+        prediction = check.expect(report, "$.report", "prediction", dict)
+        check.number(prediction, path, "predicted_seconds")
+        check.expect(prediction, path, "model", str, allow_none=True)
+        check.number(prediction, path, "error_pct", allow_none=True)
 
-    metrics = _expect(doc, "$", "metrics", dict)
-    counters = _expect(metrics, "$.metrics", "counters", dict)
-    for name, value in counters.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail(f"$.metrics.counters.{name}", "expected a number")
-        if value < 0:
-            _fail(f"$.metrics.counters.{name}",
-                  f"counters are non-negative, got {value}")
-    gauges = _expect(metrics, "$.metrics", "gauges", dict)
-    for name, value in gauges.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail(f"$.metrics.gauges.{name}", "expected a number")
-    histograms = _expect(metrics, "$.metrics", "histograms", dict)
-    for name, hist in histograms.items():
-        path = f"$.metrics.histograms.{name}"
-        if not isinstance(hist, dict):
-            _fail(path, "expected an object")
-        bounds = _expect(hist, path, "bounds", list)
-        buckets = _expect(hist, path, "bucket_counts", list)
-        if len(buckets) != len(bounds) + 1:
-            _fail(f"{path}.bucket_counts",
-                  f"expected {len(bounds) + 1} buckets "
-                  f"(len(bounds) + overflow), got {len(buckets)}")
-        count = _expect(hist, path, "count", int)
-        if sum(buckets) != count:
-            _fail(f"{path}.count",
-                  f"bucket counts sum to {sum(buckets)}, count says {count}")
-        _expect_number(hist, path, "sum")
-        _expect_number(hist, path, "min", allow_none=True)
-        _expect_number(hist, path, "max", allow_none=True)
+    check.metrics_block(doc)

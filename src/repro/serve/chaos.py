@@ -31,8 +31,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.instantiation import MachineModels
-from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
+from ..obs.schema import Schema
 from ..obs.verify import find_conservation_violations
 from ..sim.faults import (
     DeviceDegradation,
@@ -308,120 +308,81 @@ def dump_chaos_document(doc: Dict[str, object]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# schema validation (mirrors serve/report.py: JSON-path error messages)
-# ---------------------------------------------------------------------------
-
-def _fail(path: str, message: str) -> None:
-    raise ReproError(f"invalid chaos document at {path}: {message}")
+_CHECK = Schema("chaos")
 
 
-def _expect(doc: dict, path: str, key: str, types, allow_none=False):
-    if key not in doc:
-        _fail(f"{path}.{key}", "missing required field")
-    value = doc[key]
-    if value is None:
-        if allow_none:
-            return None
-        _fail(f"{path}.{key}", "must not be null")
-    if isinstance(value, bool) and types is not bool:
-        _fail(f"{path}.{key}", f"expected {types}, got bool")
-    if not isinstance(value, types):
-        names = getattr(types, "__name__", None) or "/".join(
-            t.__name__ for t in types)
-        _fail(f"{path}.{key}", f"expected {names}, got {type(value).__name__}")
-    return value
-
-
-def _expect_summary(parent: dict, path: str, key: str) -> None:
-    summary = _expect(parent, path, key, dict)
-    spath = f"{path}.{key}"
+def _run_summary(parent: dict, key: str) -> None:
+    """One side's ``baseline``/``chaos`` summary block."""
+    check, path = _CHECK, f"$.{key}"
+    summary = check.expect(parent, "$", key, dict)
     for field in ("total", "completed", "shed", "failed", "fallbacks",
                   "requeued", "hedged"):
-        value = _expect(summary, spath, field, int)
-        if value < 0:
-            _fail(f"{spath}.{field}", f"must be >= 0, got {value}")
+        check.count(summary, path, field)
     for field in ("makespan", "throughput_rps"):
-        value = _expect(summary, spath, field, (int, float))
-        if value < 0:
-            _fail(f"{spath}.{field}", f"must be >= 0, got {value}")
-    _expect(summary, spath, "p99_latency", (int, float), allow_none=True)
-    attainment = _expect(summary, spath, "slo_attainment", (int, float),
-                         allow_none=True)
-    if attainment is not None and not 0.0 <= attainment <= 1.0:
-        _fail(f"{spath}.slo_attainment",
-              f"must be in [0, 1], got {attainment}")
+        check.number(summary, path, field, minimum=0)
+    check.number(summary, path, "p99_latency", allow_none=True)
+    check.fraction(summary, path, "slo_attainment", allow_none=True)
 
 
 def validate_chaos_json(doc: object) -> None:
     """Check a chaos document against schema v1; raise on mismatch."""
-    if not isinstance(doc, dict):
-        _fail("$", f"expected an object, got {type(doc).__name__}")
-    schema = _expect(doc, "$", "schema", str)
+    check = _CHECK
+    check.value(doc, "$", dict)
+    schema = check.expect(doc, "$", "schema", str)
     if schema != CHAOS_SCHEMA_VERSION:
-        _fail("$.schema",
-              f"expected {CHAOS_SCHEMA_VERSION!r}, got {schema!r}")
-    _expect(doc, "$", "context", dict)
+        check.fail("$.schema",
+                   f"expected {CHAOS_SCHEMA_VERSION!r}, got {schema!r}")
+    check.expect(doc, "$", "context", dict)
 
-    scenario = _expect(doc, "$", "scenario", dict)
-    name = _expect(scenario, "$.scenario", "name", str)
+    scenario = check.expect(doc, "$", "scenario", dict)
+    name = check.expect(scenario, "$.scenario", "name", str)
     if name not in SCENARIOS:
-        _fail("$.scenario.name",
-              f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")
-    _expect(scenario, "$.scenario", "description", str)
-    _expect(scenario, "$.scenario", "seed", int)
-    events = _expect(scenario, "$.scenario", "events", list)
+        check.fail("$.scenario.name",
+                   f"unknown scenario {name!r}; "
+                   f"available: {sorted(SCENARIOS)}")
+    check.expect(scenario, "$.scenario", "description", str)
+    check.expect(scenario, "$.scenario", "seed", int)
+    events = check.expect(scenario, "$.scenario", "events", list)
     if not events:
-        _fail("$.scenario.events", "must schedule at least one fault")
+        check.fail("$.scenario.events", "must schedule at least one fault")
     for i, event in enumerate(events):
         path = f"$.scenario.events[{i}]"
-        if not isinstance(event, dict):
-            _fail(path, "expected an object")
-        _expect(event, path, "kind", str)
-        device = _expect(event, path, "device", int)
-        if device < 0:
-            _fail(f"{path}.device", f"must be >= 0, got {device}")
-        onset = _expect(event, path, "onset", (int, float))
-        if onset < 0:
-            _fail(f"{path}.onset", f"must be >= 0, got {onset}")
-        _expect(event, path, "duration", (int, float), allow_none=True)
+        check.value(event, path, dict)
+        check.expect(event, path, "kind", str)
+        check.count(event, path, "device")
+        check.number(event, path, "onset", minimum=0)
+        check.number(event, path, "duration", allow_none=True)
 
-    _expect(doc, "$", "workload", dict)
-    _expect_summary(doc, "$", "baseline")
-    _expect_summary(doc, "$", "chaos")
-    retention = _expect(doc, "$", "slo_retention", (int, float),
-                        allow_none=True)
-    if retention is not None and retention < 0:
-        _fail("$.slo_retention", f"must be >= 0, got {retention}")
+    check.expect(doc, "$", "workload", dict)
+    _run_summary(doc, "baseline")
+    _run_summary(doc, "chaos")
+    check.number(doc, "$", "slo_retention", allow_none=True, minimum=0)
 
-    recovery = _expect(doc, "$", "recovery", dict)
+    recovery = check.expect(doc, "$", "recovery", dict)
     for key in ("n_outages", "n_recovered", "n_unrecovered"):
-        value = _expect(recovery, "$.recovery", key, int)
-        if value < 0:
-            _fail(f"$.recovery.{key}", f"must be >= 0, got {value}")
+        check.count(recovery, "$.recovery", key)
     if (recovery["n_recovered"] + recovery["n_unrecovered"]
             != recovery["n_outages"]):
-        _fail("$.recovery", "recovered + unrecovered must equal outages")
+        check.fail("$.recovery", "recovered + unrecovered must equal outages")
     for key in ("mean_recovery_seconds", "max_recovery_seconds"):
-        _expect(recovery, "$.recovery", key, (int, float), allow_none=True)
+        check.number(recovery, "$.recovery", key, allow_none=True)
 
-    resilience = _expect(doc, "$", "resilience", dict)
-    _expect(resilience, "$.resilience", "counters", dict)
-    _expect(resilience, "$.resilience", "stats", dict)
-    _expect(resilience, "$.resilience", "health", list)
-    _expect(resilience, "$.resilience", "transitions", list)
+    resilience = check.expect(doc, "$", "resilience", dict)
+    check.expect(resilience, "$.resilience", "counters", dict)
+    check.expect(resilience, "$.resilience", "stats", dict)
+    check.expect(resilience, "$.resilience", "health", list)
+    check.expect(resilience, "$.resilience", "transitions", list)
 
-    conservation = _expect(doc, "$", "conservation", dict)
-    ok = _expect(conservation, "$.conservation", "ok", bool)
-    violations = _expect(conservation, "$.conservation", "violations", list)
+    conservation = check.expect(doc, "$", "conservation", dict)
+    ok = check.expect(conservation, "$.conservation", "ok", bool)
+    violations = check.expect(conservation, "$.conservation", "violations",
+                              list)
     if ok and violations:
-        _fail("$.conservation", "ok=true but violations listed")
+        check.fail("$.conservation", "ok=true but violations listed")
     if not ok and not violations:
-        _fail("$.conservation", "ok=false requires violations")
+        check.fail("$.conservation", "ok=false requires violations")
 
-    metrics = _expect(doc, "$", "metrics", dict)
-    for key in ("counters", "gauges", "histograms"):
-        _expect(metrics, "$.metrics", key, dict)
+    check.metrics_block(doc)
 
 
 __all__ = [

@@ -252,11 +252,14 @@ class BlasServer:
         self.metrics = metrics
         #: Residual-quantile bank for percentile-aware admission.  In
         #: tail mode the precedence is: explicit bank (cluster-shared)
-        #: > the machine's deployed fit (models.tail) > a fresh bank
+        #: > a private copy of the machine's deployed fit (models.tail;
+        #: copied so one server's online refinement never leaks into
+        #: the next server built on the same database) > a fresh bank
         #: that starts at mean behavior and refines online.
         if self.config.admission_percentile is not None:
             if tail_bank is None:
-                tail_bank = (models.tail if models.tail is not None
+                tail_bank = (PercentileBank.from_dict(models.tail.to_dict())
+                             if models.tail is not None
                              else PercentileBank())
             self.tail_bank = tail_bank
         else:
@@ -291,17 +294,14 @@ class BlasServer:
         self._host_stats = WorkerStats(HOST_WORKER)
         self._gpu_traces: List[List[list]] = [
             [] for _ in range(self.config.n_gpus)]
-        self._served = False
-        # -- incremental (cluster-node) serving ----------------------
-        #: True between begin() and finish(); serve() keeps it False.
-        self._incremental = False
+        #: Set by begin(): a server runs exactly one session.
+        self._begun = False
         self._retain = True
         self._on_terminal = None
         self._outstanding = 0
         self._requests: List[Request] = []
         #: In-flight host batch and its completion event, tracked so a
-        #: cluster evacuation can cancel host work mid-service.  Pure
-        #: bookkeeping: the one-shot serve() path never reads it.
+        #: cluster evacuation can cancel host work mid-service.
         self._host_inflight: Optional[Tuple[_Batch, object]] = None
         # -- fault-domain state --------------------------------------
         #: In-flight batch per GPU index (drains cancel through this).
@@ -319,41 +319,27 @@ class BlasServer:
         self._faulted = plan is not None and plan.any_faults
 
     # -- public entry ---------------------------------------------------
+    #
+    # One serving session: begin() opens it, submit() feeds arrivals,
+    # the caller drives the clock (sim.run(), or Simulator.run_to() one
+    # epoch at a time on a cluster node) and finish() aggregates the
+    # outcome.  serve() is that session over a complete request list.
 
     def serve(self, requests: List[Request]) -> ServeOutcome:
-        """Run the workload to completion and return the outcome."""
-        if self._served:
-            raise ServeError("a BlasServer instance serves exactly once")
-        self._served = True
-        self._requests = sorted(requests, key=lambda r: (r.arrival, r.req_id))
-        # Ordering contract (pinned, not accidental): lifecycle events
-        # are scheduled before arrivals, so a fault onset at exactly an
-        # arrival time gets the lower seq and fires first — the arrival
-        # then dispatches against the post-fault health state.  Equal-
-        # time arrivals fire in (arrival, req_id) order via the sort
-        # above.  Regression: tests/sim/test_tie_ordering.py.
-        self._schedule_lifecycle()
-        for request in self._requests:
-            self.sim.schedule_at(request.arrival,
-                                 lambda r=request: self._on_arrival(r))
+        """Run the workload to completion and return the outcome.
+
+        Ordering contract (pinned, not accidental): begin() schedules
+        lifecycle events before any arrival, so a fault onset at exactly
+        an arrival time gets the lower seq and fires first — the arrival
+        then dispatches against the post-fault health state.  Equal-time
+        arrivals fire in (arrival, req_id) order via the sort below.
+        Regression: tests/sim/test_tie_ordering.py.
+        """
+        self.begin()
+        for request in sorted(requests, key=lambda r: (r.arrival, r.req_id)):
+            self.submit(request)
         self.sim.run()
-        end = max((r.completion_t for r in self._requests
-                   if r.completion_t is not None), default=0.0)
-        return ServeOutcome(
-            requests=self._requests,
-            config=self.config,
-            gpu_stats=self._stats,
-            host_stats=self._host_stats,
-            n_batches=self._next_batch,
-            end_time=end,
-            gpu_traces=self._gpu_traces,
-            faulted=self._faulted,
-            resilience=self._device_counters,
-            resilience_stats=self._stats_res,
-            health=self.monitor.snapshot(),
-            health_transitions=list(self.monitor.transitions),
-            tail=self._tail_snapshot(),
-        )
+        return self.finish()
 
     def _tail_snapshot(self) -> Optional[dict]:
         """Bank state + admission counters for the outcome (tail mode
@@ -365,29 +351,15 @@ class BlasServer:
         snap["tail_rejections"] = self.dispatcher.tail_rejections
         return snap
 
-    # -- incremental serving (cluster-node mode) ------------------------
-    #
-    # A cluster node cannot hand the server a complete request list up
-    # front: the router feeds it arrivals one epoch at a time while a
-    # coordinator drives its clock with Simulator.run_to().  begin() /
-    # submit() / finish() expose exactly that — the same arrival,
-    # dispatch and recovery machinery as serve(), minus the outer
-    # sim.run().  The one-shot serve() path never touches any of this
-    # (``_incremental`` stays False), so single-node documents stay
-    # byte-identical.
-
     def _terminal(self, request: Request) -> None:
-        """One request reached done/shed/failed: incremental-mode
-        accounting plus the cluster's terminal callback.  No-op on the
-        one-shot serve() path."""
-        if not self._incremental:
-            return
+        """One request reached done/shed/failed: session accounting
+        plus the caller's terminal callback."""
         self._outstanding -= 1
         if self._on_terminal is not None:
             self._on_terminal(request)
 
     def begin(self, retain: bool = True, on_terminal=None) -> None:
-        """Open an incremental session (mutually exclusive with serve).
+        """Open the server's one serving session.
 
         retain
             Keep submitted requests in an internal list for
@@ -398,10 +370,9 @@ class BlasServer:
             Callback invoked with each request as it reaches a real
             terminal state (done/shed/failed; *not* migrated).
         """
-        if self._served:
+        if self._begun:
             raise ServeError("a BlasServer instance serves exactly once")
-        self._served = True
-        self._incremental = True
+        self._begun = True
         self._retain = retain
         self._on_terminal = on_terminal
         self._schedule_lifecycle()
@@ -413,7 +384,7 @@ class BlasServer:
         slack and latency accounting stay honest) but cannot arrive in
         the node's past, so it lands at ``max(arrival, now)``.
         """
-        if not self._incremental:
+        if not self._begun:
             raise ServeError("submit() requires begin() first")
         self._outstanding += 1
         if self._retain:
@@ -445,20 +416,25 @@ class BlasServer:
         marked MIGRATED with arrival/deadline untouched, for the caller
         to re-place elsewhere.
         """
-        if not self._incremental:
+        if not self._begun:
             raise ServeError("drain_queued() requires begin() first")
         moved: List[Request] = []
         for state in (*self.dispatcher.gpus, self.dispatcher.host):
             while state.queue:
                 moved.append(state.queue.pop())
         for request in moved:
-            request.state = RequestState.MIGRATED
-            request.worker = None
-            request.dispatch_t = None
-            request.first_t = None
-            request.batch_id = None
-            self._outstanding -= 1
+            self._migrate(request)
         return moved
+
+    def _migrate(self, request: Request) -> None:
+        """Hand ``request`` back to the caller: MIGRATED, arrival and
+        deadline untouched, no longer owed by this server."""
+        request.state = RequestState.MIGRATED
+        request.worker = None
+        request.dispatch_t = None
+        request.first_t = None
+        request.batch_id = None
+        self._outstanding -= 1
 
     def evacuate(self) -> List[Request]:
         """Hard stop (node kill): drain queues AND cancel in-flight.
@@ -470,6 +446,7 @@ class BlasServer:
         """
         moved = self.drain_queued()
         now = self.sim.now
+        cancelled: List[_Batch] = []
         for index in sorted(self._inflight):
             batch = self._inflight[index]
             if batch.settled:
@@ -486,17 +463,7 @@ class BlasServer:
             state = self.dispatcher.gpus[index]
             state.busy = False
             state.running_pred_end = 0.0
-            # Hedge twins share one members list; the RUNNING check
-            # keeps the second copy from migrating a member twice.
-            for member in batch.members:
-                if member.state is RequestState.RUNNING:
-                    member.state = RequestState.MIGRATED
-                    member.worker = None
-                    member.dispatch_t = None
-                    member.first_t = None
-                    member.batch_id = None
-                    self._outstanding -= 1
-                    moved.append(member)
+            cancelled.append(batch)
         self._inflight.clear()
         if self._host_inflight is not None:
             batch, ev = self._host_inflight
@@ -507,23 +474,26 @@ class BlasServer:
             host = self.dispatcher.host
             host.busy = False
             host.running_pred_end = 0.0
+            cancelled.append(batch)
+        # Hedge twins share one members list; the RUNNING check keeps
+        # the second copy from migrating a member twice.
+        for batch in cancelled:
             for member in batch.members:
                 if member.state is RequestState.RUNNING:
-                    member.state = RequestState.MIGRATED
-                    member.worker = None
-                    member.dispatch_t = None
-                    member.first_t = None
-                    member.batch_id = None
-                    self._outstanding -= 1
+                    self._migrate(member)
                     moved.append(member)
         return moved
 
     def finish(self) -> ServeOutcome:
-        """Close an incremental session and aggregate the outcome."""
-        if not self._incremental:
+        """Close the session and aggregate the outcome.
+
+        ``end_time`` is the last completion, 0.0 when nothing completed
+        (an all-shed run has a zero makespan).
+        """
+        if not self._begun:
             raise ServeError("finish() requires begin() first")
         end = max((r.completion_t for r in self._requests
-                   if r.completion_t is not None), default=self.sim.now)
+                   if r.completion_t is not None), default=0.0)
         return ServeOutcome(
             requests=self._requests,
             config=self.config,
@@ -564,7 +534,7 @@ class BlasServer:
         index = event.device
         if event.kind == "device_failure":
             self._count("serve.device_failures")
-            self._fail_domain(index)
+            self._on_device_failure(index)
         elif event.kind == "device_degradation":
             self._slowdown[index] = event.slowdown
         elif event.kind == "link_brownout":
@@ -580,7 +550,7 @@ class BlasServer:
         elif event.kind == "link_brownout":
             self._link_factor[index] = 1.0
 
-    def _fail_domain(self, index: int) -> None:
+    def _on_device_failure(self, index: int) -> None:
         """A detected device failure: open the breaker and drain."""
         if self.monitor.force_fail(index, self.sim.now):
             self._drain_domain(self.dispatcher.gpus[index])

@@ -197,3 +197,17 @@ class TestChaosValidator:
         doc["chaos"]["slo_attainment"] = 1.5
         with pytest.raises(ReproError, match="slo_attainment"):
             validate_chaos_json(doc)
+
+    def test_rejects_negative_counter(self, doc):
+        name = next(iter(doc["metrics"]["counters"]))
+        doc["metrics"]["counters"][name] = -1
+        with pytest.raises(ReproError,
+                           match=r"\$\.metrics\.counters\..*non-negative"):
+            validate_chaos_json(doc)
+
+    def test_rejects_histogram_count_mismatch(self, doc):
+        name = next(iter(doc["metrics"]["histograms"]))
+        doc["metrics"]["histograms"][name]["count"] += 1
+        with pytest.raises(ReproError,
+                           match=r"\$\.metrics\.histograms\..*bucket counts"):
+            validate_chaos_json(doc)

@@ -61,20 +61,24 @@ class TestModeExclusivity:
             server.begin()
 
 
+def _both_drives(tb2, models_tb2, make_requests, seed):
+    """The same trace through serve() and through a hand-driven
+    begin / submit / sim.run / finish session."""
+    config = ServerConfig(n_gpus=2, seed=seed)
+    one_shot = BlasServer(tb2, models_tb2, config).serve(make_requests())
+    server = BlasServer(tb2, models_tb2, config)
+    server.begin()
+    for request in make_requests():
+        server.submit(request)
+    server.sim.run()
+    return one_shot, server.finish()
+
+
 class TestIncrementalMatchesOneShot:
     def test_same_trace_same_outcome(self, tb2, models_tb2):
         spec = WorkloadSpec(n_requests=24, rate=4000.0, seed=7)
-
-        one_shot = BlasServer(tb2, models_tb2,
-                              ServerConfig(n_gpus=2, seed=7)).serve(
-            generate_workload(spec))
-
-        server = BlasServer(tb2, models_tb2, ServerConfig(n_gpus=2, seed=7))
-        server.begin()
-        for request in generate_workload(spec):
-            server.submit(request)
-        server.sim.run()
-        incremental = server.finish()
+        one_shot, incremental = _both_drives(
+            tb2, models_tb2, lambda: generate_workload(spec), seed=7)
 
         assert len(incremental.requests) == len(one_shot.requests)
         by_id = {r.req_id: r for r in one_shot.requests}
@@ -85,6 +89,30 @@ class TestIncrementalMatchesOneShot:
             assert r.completion_t == ref.completion_t
             assert r.latency == ref.latency
         assert incremental.n_batches == one_shot.n_batches
+        assert incremental.end_time == one_shot.end_time > 0.0
+        assert incremental.gpu_stats == one_shot.gpu_stats
+        assert incremental.host_stats == one_shot.host_stats
+        assert (incremental.health_transitions
+                == one_shot.health_transitions)
+
+    def test_all_shed_trace_reports_zero_end_time(self, tb2, models_tb2):
+        spec = WorkloadSpec(n_requests=12, rate=4000.0, seed=5)
+
+        def unmeetable():
+            # A deadline at the arrival instant: every predicted
+            # completion misses it, so shed admission rejects them all.
+            requests = generate_workload(spec)
+            for request in requests:
+                request.deadline = request.arrival
+            return requests
+
+        one_shot, incremental = _both_drives(tb2, models_tb2, unmeetable,
+                                             seed=5)
+        for outcome in (one_shot, incremental):
+            assert all(r.state is RequestState.SHED
+                       for r in outcome.requests)
+            assert outcome.end_time == 0.0
+            assert outcome.n_batches == 0
 
     def test_on_terminal_fires_per_request(self, tb2, models_tb2):
         spec = WorkloadSpec(n_requests=12, rate=4000.0, seed=3)

@@ -124,6 +124,20 @@ class TestRejections:
         with pytest.raises(ReproError, match="histograms"):
             validate_serve_json(doc)
 
+    def test_negative_counter_rejected(self, document):
+        def mutate(d):
+            d["metrics"]["counters"]["serve.requests"] = -1
+        with pytest.raises(ReproError,
+                           match=r"counters\.serve\.requests.*non-negative"):
+            validate_serve_json(self._mutated(document, mutate))
+
+    def test_histogram_bucket_count_mismatch_rejected(self, document):
+        def mutate(d):
+            hist = next(iter(d["metrics"]["histograms"].values()))
+            hist["count"] += 1
+        with pytest.raises(ReproError, match="bucket counts sum to"):
+            validate_serve_json(self._mutated(document, mutate))
+
     def test_error_message_carries_json_path(self, document):
         def mutate(d):
             d["report"]["workers"][1]["kernels"] = "many"

@@ -16,8 +16,12 @@ filtered on ``deadline is not None``).  These tests fail against that
 behaviour.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.core.tailbank import PercentileBank
+from repro.deploy import DeploymentConfig, deploy
 from repro.serve import (BlasServer, ServeError, ServerConfig, WorkloadSpec,
                          dump_serve_document, generate_workload,
                          serve_document, serve_report)
@@ -153,3 +157,37 @@ class TestConfigValidation:
         server = BlasServer(tb2, models_tb2, config)
         assert server.tail_bank is not None
         assert 95.0 in server.tail_bank.percentiles
+
+
+class TestDeployedBankIsolation:
+    """A tail-fitted model database seeds each server with a private copy
+    of its bank: online refinement in one server must not leak into the
+    next server built on the same database."""
+
+    @pytest.fixture(scope="class")
+    def tail_models(self, tb2):
+        return deploy(tb2, dataclasses.replace(DeploymentConfig.quick(),
+                                               tail=True))
+
+    def test_back_to_back_serves_are_identical(self, tb2, tail_models):
+        before = tail_models.tail.to_dict()
+        first, second = (
+            dump_serve_document(serve_document(_serve(tb2, tail_models, 99.0)))
+            for _ in range(2))
+        assert first == second
+        assert tail_models.tail.to_dict() == before
+        assert tail_models.tail.refits == before["refits"]
+
+    def test_server_refines_its_own_copy(self, tb2, tail_models):
+        server = BlasServer(tb2, tail_models,
+                            ServerConfig(n_gpus=2, admission_percentile=99.0))
+        assert server.tail_bank is not tail_models.tail
+        assert server.tail_bank.to_dict() == tail_models.tail.to_dict()
+
+    def test_explicit_bank_stays_shared(self, tb2, tail_models):
+        shared = PercentileBank()
+        server = BlasServer(tb2, tail_models,
+                            ServerConfig(n_gpus=2, admission_percentile=99.0),
+                            tail_bank=shared)
+        assert server.tail_bank is shared
+        assert server.dispatcher.tail_bank is shared
