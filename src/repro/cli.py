@@ -16,6 +16,8 @@ like the paper's once-per-machine offline deployment.
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 from typing import List, Optional
 
@@ -79,6 +81,30 @@ def _loc(value: str) -> Loc:
         raise argparse.ArgumentTypeError(
             f"location must be 'host' or 'device', got {value!r}"
         ) from None
+
+
+def _add_problem_args(parser: argparse.ArgumentParser) -> None:
+    """One BLAS problem (what :func:`_build_problem` reads) + machine."""
+    parser.add_argument("routine", choices=("gemm", "gemv", "syrk", "axpy"))
+    parser.add_argument("dims", type=int, nargs="+",
+                        help="problem dims: gemm M N K / gemv M N / "
+                             "syrk N K / axpy N")
+    _add_machine_args(parser)
+    parser.add_argument("--dtype", default="d", choices=("d", "s"))
+    parser.add_argument("--model", default="auto",
+                        help="prediction model for selection (default: auto)")
+    for operand, what in (("a", "A/x"), ("b", "B/x/y"), ("c", "C/y")):
+        parser.add_argument(f"--loc-{operand}", type=_loc, default=Loc.HOST,
+                            help=f"location of {what}: host|device")
+
+
+def _write_document(out_dir: str, name: str, text: str) -> str:
+    """Write one output document into ``out_dir``; return its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
 
 
 def _deployment_config(scale: str, workers: int = 1) -> DeploymentConfig:
@@ -208,9 +234,6 @@ def cmd_run(args) -> int:
 
 def cmd_profile(args) -> int:
     """Run one traced routine and emit profile.json + trace.json."""
-    import json
-    import os
-
     from .obs import (MetricsRegistry, merge_chrome_traces, merge_traces,
                       profile_document, profile_trace)
 
@@ -274,13 +297,10 @@ def cmd_profile(args) -> int:
         "faults": plan.name if plan is not None else None,
     })
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    profile_path = os.path.join(args.out_dir, "profile.json")
-    trace_path = os.path.join(args.out_dir, "trace.json")
-    with open(profile_path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-    with open(trace_path, "w") as fh:
-        json.dump(merge_chrome_traces(traces), fh)
+    profile_path = _write_document(args.out_dir, "profile.json",
+                                   json.dumps(doc, indent=2))
+    trace_path = _write_document(args.out_dir, "trace.json",
+                                 json.dumps(merge_chrome_traces(traces)))
 
     print(f"{problem.describe()} on {machine.display_name} "
           f"({args.gpus} GPU{'s' if args.gpus > 1 else ''}, T={tile})")
@@ -304,9 +324,6 @@ def cmd_profile(args) -> int:
 
 def cmd_summa(args) -> int:
     """Run the distributed SUMMA/streaming-gemv suite; emit summa.json."""
-    import json
-    import os
-
     from .experiments import summa as summa_exp
 
     _machine, models = _models_for(args)
@@ -323,11 +340,9 @@ def cmd_summa(args) -> int:
         parallel=args.parallel,
     )
     summa_exp.validate_summa_json(doc)
-    os.makedirs(args.out_dir, exist_ok=True)
-    out_path = os.path.join(args.out_dir, "summa.json")
-    with open(out_path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    out_path = _write_document(
+        args.out_dir, "summa.json",
+        json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(summa_exp.render(doc))
     print(f"  wrote {out_path}")
     return 0
@@ -335,9 +350,6 @@ def cmd_summa(args) -> int:
 
 def cmd_serve(args) -> int:
     """Serve a generated workload on N simulated GPUs; emit serve.json."""
-    import json
-    import os
-
     from .obs import MetricsRegistry
     from .serve import (BlasServer, ServerConfig, WorkloadSpec,
                         dump_serve_document, generate_workload,
@@ -387,10 +399,8 @@ def cmd_serve(args) -> int:
         context["admission_percentile"] = args.admission_percentile
     doc = serve_document(outcome, metrics=registry, context=context)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    serve_path = os.path.join(args.out_dir, "serve.json")
-    with open(serve_path, "w") as fh:
-        fh.write(dump_serve_document(doc))
+    serve_path = _write_document(args.out_dir, "serve.json",
+                                 dump_serve_document(doc))
 
     report = doc["report"]
     counts = report["requests"]
@@ -420,8 +430,6 @@ def cmd_serve(args) -> int:
 
 def cmd_chaos(args) -> int:
     """Run a chaos scenario against the serving layer; emit chaos.json."""
-    import os
-
     from .serve import ServerConfig, WorkloadSpec
     from .serve.chaos import SCENARIOS, dump_chaos_document, run_chaos
 
@@ -449,10 +457,8 @@ def cmd_chaos(args) -> int:
             "hedging": args.hedging,
         })
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    chaos_path = os.path.join(args.out_dir, "chaos.json")
-    with open(chaos_path, "w") as fh:
-        fh.write(dump_chaos_document(doc))
+    chaos_path = _write_document(args.out_dir, "chaos.json",
+                                 dump_chaos_document(doc))
 
     scenario = doc["scenario"]
     base, chaos = doc["baseline"], doc["chaos"]
@@ -516,8 +522,6 @@ def _parse_kill(value: str):
 
 def cmd_cluster(args) -> int:
     """Serve a trace on a sharded multi-node fleet; emit cluster.json."""
-    import os
-
     from .cluster import (AutoscalerConfig, ClusterConfig,
                           ClusterCoordinator, ClusterWorkloadSpec,
                           cluster_document, cluster_spec_as_dict,
@@ -566,10 +570,8 @@ def cmd_cluster(args) -> int:
         context["admission_percentile"] = args.admission_percentile
     doc = cluster_document(outcome, context=context)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    cluster_path = os.path.join(args.out_dir, "cluster.json")
-    with open(cluster_path, "w") as fh:
-        fh.write(dump_cluster_document(doc))
+    cluster_path = _write_document(args.out_dir, "cluster.json",
+                                   dump_cluster_document(doc))
 
     report = doc["report"]
     fleet = report["fleet"]
@@ -672,40 +674,22 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: 1 = serial)")
 
     p_run = sub.add_parser("run", help="offload one BLAS invocation")
-    p_run.add_argument("routine", choices=("gemm", "gemv", "syrk", "axpy"))
-    p_run.add_argument("dims", type=int, nargs="+",
-                       help="problem dims: gemm M N K / gemv M N / axpy N")
-    _add_machine_args(p_run)
+    _add_problem_args(p_run)
     p_run.add_argument("--library", default="cocopelia",
                        choices=sorted(LIBRARIES))
-    p_run.add_argument("--dtype", default="d", choices=("d", "s"))
     p_run.add_argument("--tile", type=int, default=None,
                        help="explicit tiling size (default: model-selected)")
-    p_run.add_argument("--model", default="auto",
-                       help="prediction model for selection (default: auto)")
     p_run.add_argument("--faults", default=None, metavar="PLAN",
                        help="inject faults: a named plan "
                             f"({'/'.join(sorted(NAMED_PLANS))}) or "
                             "'key=value,...' overrides, e.g. "
                             "'transfer_fail_rate=0.05,seed=7'")
-    p_run.add_argument("--loc-a", type=_loc, default=Loc.HOST,
-                       help="location of A/x: host|device")
-    p_run.add_argument("--loc-b", type=_loc, default=Loc.HOST,
-                       help="location of B/x/y: host|device")
-    p_run.add_argument("--loc-c", type=_loc, default=Loc.HOST,
-                       help="location of C/y: host|device")
 
     p_prof = sub.add_parser("profile", help="run one traced invocation and "
                             "emit a metrics/overlap report + Chrome trace")
-    p_prof.add_argument("routine", choices=("gemm", "gemv", "syrk", "axpy"))
-    p_prof.add_argument("dims", type=int, nargs="+",
-                        help="problem dims: gemm M N K / gemv M N / axpy N")
-    _add_machine_args(p_prof)
-    p_prof.add_argument("--dtype", default="d", choices=("d", "s"))
+    _add_problem_args(p_prof)
     p_prof.add_argument("--tile", type=int, default=None,
                         help="explicit tiling size (default: model-selected)")
-    p_prof.add_argument("--model", default="auto",
-                        help="prediction model for selection (default: auto)")
     p_prof.add_argument("--gpus", type=int, default=1,
                         help="simulated GPUs (gemm only; default: 1)")
     p_prof.add_argument("--faults", default=None, metavar="PLAN",
@@ -714,9 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--out-dir", default=".",
                         help="directory for profile.json + trace.json "
                              "(default: current directory)")
-    p_prof.add_argument("--loc-a", type=_loc, default=Loc.HOST)
-    p_prof.add_argument("--loc-b", type=_loc, default=Loc.HOST)
-    p_prof.add_argument("--loc-c", type=_loc, default=Loc.HOST)
 
     p_summa = sub.add_parser(
         "summa", help="distributed SUMMA gemm + streaming gemv over a "
@@ -883,14 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sel = sub.add_parser("select", help="show per-tile predictions and "
                            "the selected tiling size")
-    p_sel.add_argument("routine", choices=("gemm", "gemv", "syrk", "axpy"))
-    p_sel.add_argument("dims", type=int, nargs="+")
-    _add_machine_args(p_sel)
-    p_sel.add_argument("--dtype", default="d", choices=("d", "s"))
-    p_sel.add_argument("--model", default="auto")
-    p_sel.add_argument("--loc-a", type=_loc, default=Loc.HOST)
-    p_sel.add_argument("--loc-b", type=_loc, default=Loc.HOST)
-    p_sel.add_argument("--loc-c", type=_loc, default=Loc.HOST)
+    _add_problem_args(p_sel)
 
     p_exp = sub.add_parser("experiment", help="reproduce a paper "
                            "table/figure")

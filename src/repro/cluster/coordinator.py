@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.predcache import PredictionCache
-from ..core.tailbank import PercentileBank
+from ..core.tailbank import PercentileBank, run_bank
 from ..obs.verify import find_conservation_violations
 from ..serve.request import Request, RequestState, ServeError
 from ..serve.server import ServerConfig
@@ -134,13 +134,12 @@ class ClusterCoordinator:
         #: so tile-selection work done on one node serves all.
         self.prediction_cache = PredictionCache()
         #: Fleet-shared residual bank (percentile-admission mode only):
-        #: every node observes into and admits from the same quantiles.
-        if self.server_config.admission_percentile is not None:
-            self.tail_bank: Optional[PercentileBank] = (
-                models.tail if getattr(models, "tail", None) is not None
-                else PercentileBank())
-        else:
-            self.tail_bank = None
+        #: every node observes into and admits from the same quantiles,
+        #: a private copy of any deployed fit.
+        self.tail_bank: Optional[PercentileBank] = (
+            run_bank(models)
+            if self.server_config.admission_percentile is not None
+            else None)
         self.router = ClusterRouter(
             policy=self.config.router, replicas=self.config.replicas,
             spill_width=self.config.spill_width,

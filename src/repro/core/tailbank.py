@@ -280,3 +280,20 @@ class PercentileBank:
                 for p, v in entry["quantiles"].items()
             }
         return bank
+
+
+def run_bank(models, shared: Optional[PercentileBank] = None
+             ) -> PercentileBank:
+    """The bank one serving run (a server, or a whole fleet) admits from.
+
+    An explicit ``shared`` bank is used as is (a fleet's nodes share
+    one).  Otherwise the run gets a private copy of the deployed fit
+    (``models.tail``), so its online refinement never leaks into the
+    next run built on the same database; without a deployed fit it
+    starts from a fresh bank at mean behaviour.
+    """
+    if shared is not None:
+        return shared
+    if models.tail is not None:
+        return PercentileBank.from_dict(models.tail.to_dict())
+    return PercentileBank()

@@ -1,9 +1,9 @@
-"""Shared picklable task functions for out-of-tree fan-out callers.
+"""Shared picklable task functions for fan-out callers.
 
 Task functions submitted to :func:`repro.parallel.pmap` must be
-importable module-level callables.  Call sites that live outside the
-installable package tree (the ``benchmarks/`` scripts) cannot host
-such functions reliably, so the ones they need live here.
+importable module-level callables.  Callers that live outside the
+installable package tree (test modules) cannot host such functions
+reliably, so the ones they need live here.
 
 Imports happen inside the functions: with warm worker caches the heavy
 modules are already loaded, and the serial path pays the import exactly

@@ -33,7 +33,7 @@ from ..core.instantiation import MachineModels
 from ..core.params import CoCoProblem, Loc, gemm_problem
 from ..core.predcache import PredictionCache
 from ..core.select import TileChoice, select_tile
-from ..core.tailbank import PercentileBank
+from ..core.tailbank import PercentileBank, run_bank
 from ..runtime.hybrid import host_gemm_time
 from ..sim.machine import MachineConfig
 from .request import Request, RequestQueue, ServeError
@@ -185,9 +185,7 @@ class Dispatcher:
         #: stay comparable with mean-mode runs.
         self.admission_percentile = admission_percentile
         if admission_percentile is not None:
-            if tail_bank is None:
-                tail_bank = (models.tail if models.tail is not None
-                             else PercentileBank())
+            tail_bank = run_bank(models, tail_bank)
             tail_bank.ensure_percentile(admission_percentile)
             self.tail_bank: Optional[PercentileBank] = tail_bank
         else:

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from ..backend.cublas import CublasContext
 from ..core.instantiation import MachineModels
 from ..core.params import CoCoProblem
-from ..core.tailbank import PercentileBank
+from ..core.tailbank import run_bank
 from ..runtime.routines import _host_operand
 from ..runtime.scheduler import AxpyTileScheduler, GemmTileScheduler
 from ..sim.device import GpuDevice
@@ -250,20 +250,11 @@ class BlasServer:
         self.models = models
         self.config = config if config is not None else ServerConfig()
         self.metrics = metrics
-        #: Residual-quantile bank for percentile-aware admission.  In
-        #: tail mode the precedence is: explicit bank (cluster-shared)
-        #: > a private copy of the machine's deployed fit (models.tail;
-        #: copied so one server's online refinement never leaks into
-        #: the next server built on the same database) > a fresh bank
-        #: that starts at mean behavior and refines online.
-        if self.config.admission_percentile is not None:
-            if tail_bank is None:
-                tail_bank = (PercentileBank.from_dict(models.tail.to_dict())
-                             if models.tail is not None
-                             else PercentileBank())
-            self.tail_bank = tail_bank
-        else:
-            self.tail_bank = None
+        #: Residual-quantile bank for percentile-aware admission
+        #: (provenance rule: :func:`~repro.core.tailbank.run_bank`).
+        self.tail_bank = (run_bank(models, tail_bank)
+                          if self.config.admission_percentile is not None
+                          else None)
         self.sim = Simulator()
         self.monitor = HealthMonitor(
             self.config.n_gpus,

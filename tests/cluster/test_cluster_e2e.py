@@ -6,6 +6,8 @@ to stay fast, busy enough to exercise scale-up, scale-down, migration
 and the conservation verdict.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import (
@@ -18,6 +20,7 @@ from repro.cluster import (
     iter_cluster_workload,
     validate_cluster_json,
 )
+from repro.deploy import DeploymentConfig, deploy
 from repro.serve import ServeError, ServerConfig
 
 
@@ -230,3 +233,18 @@ class TestTailAdmission:
     def test_conservation_holds_in_tail_mode(self, tail_outcome):
         assert tail_outcome.conservation_ok
         assert tail_outcome.accounted == self.TAIL_SPEC.n_requests
+
+    def test_tail_fitted_database_does_not_drift(self, tb1):
+        """Each fleet refines a private copy of the deployed bank, so
+        back-to-back fleets on one tail-fitted database are identical
+        and the database itself is never refit."""
+        models = deploy(tb1, dataclasses.replace(DeploymentConfig.quick(),
+                                                 tail=True))
+        before = models.tail.to_dict()
+        first, second, third = (
+            dump_cluster_document(cluster_document(
+                self._run(tb1, models, 99.0), context={}))
+            for _ in range(3))
+        assert first == second == third
+        assert models.tail.to_dict() == before
+        assert models.tail.refits == before["refits"]

@@ -14,6 +14,7 @@ from repro.core.predcache import PredictionCache
 from repro.core.registry import predict, sweep_predict
 from repro.core.select import candidate_tiles, select_tile
 from repro.core.transfer_model import LinkModel, TransferFit
+from repro.runtime.routines import CoCoPeLiaLibrary
 
 
 def make_models(scale=1.0):
@@ -38,8 +39,18 @@ def models():
     return make_models()
 
 
+def traced_gemm(machine, models, cache):
+    lib = CoCoPeLiaLibrary(machine, models, seed=7, trace=True,
+                           prediction_cache=cache)
+    result = lib.gemm(m=2048, n=2048, k=2048)
+    events = [(ev.engine, ev.tag, ev.start, ev.end, ev.nbytes, ev.flops)
+              for ev in lib.last_trace.events]
+    return result.tile_size, result.seconds, events
+
+
 class TestPredictionCache:
-    def test_choice_matches_uncached_bit_exact(self, models):
+    def test_choice_matches_uncached_bit_exact(self, models, quiet_machine,
+                                               models_quiet):
         p = gemm_problem(4096, 4096, 4096)
         cache = PredictionCache()
         cached = cache.choice(p, models, model="dr")
@@ -48,6 +59,13 @@ class TestPredictionCache:
         assert cached.predicted_time == plain.predicted_time  # bit-exact
         assert cached.model == plain.model
         assert cached.per_tile == plain.per_tile  # every T, bit-exact
+        # And end to end: a traced dgemm on deployed models replays the
+        # same event stream whether its tile choice was memoized or not.
+        uncached = traced_gemm(quiet_machine, models_quiet, None)
+        memoized = traced_gemm(quiet_machine, models_quiet,
+                               PredictionCache())
+        assert memoized == uncached
+        assert uncached[2]
 
     def test_second_choice_is_a_hit(self, models):
         p = gemm_problem(4096, 4096, 4096)

@@ -7,10 +7,15 @@ behaviour drift; the comparison asserts the paper-style claim that
 predicted-completion-time placement beats blind rotation on both
 makespan and tail latency.  Host offload and admission are disabled so
 the two policies face the identical request stream on the GPUs alone.
+
+Also here: the default-configured server swept from light load to
+saturation (64 requests per rate on 4 GPUs), which must track the
+offered rate while unsaturated and keep its tail latency monotone.
 """
 
 import pytest
 
+from repro.parallel.tasks import serve_rate_task
 from repro.serve import (BlasServer, ServerConfig, WorkloadSpec,
                          dump_serve_document, generate_workload,
                          serve_document, serve_report)
@@ -88,3 +93,26 @@ class TestModelBeatsRoundRobin:
             assert report["requests"]["completed"] == 48
             assert report["requests"]["shed"] == 0
             assert report["requests"]["failed"] == 0
+
+
+class TestRateSweep:
+    RATES = (200.0, 1000.0, 4000.0, 8000.0)
+    N_REQUESTS = 64
+
+    @pytest.fixture(scope="class")
+    def reports(self, tb2):
+        return [serve_rate_task(tb2, "quick", rate, self.N_REQUESTS, 4, SEED)
+                for rate in self.RATES]
+
+    def test_light_load_throughput_tracks_offered_rate(self, reports):
+        assert reports[0]["throughput_rps"] > 0.8 * self.RATES[0]
+
+    def test_p99_latency_non_decreasing_in_load(self, reports):
+        p99s = [r["latency"]["p99"] for r in reports]
+        assert all(b >= a * 0.95 for a, b in zip(p99s, p99s[1:])), p99s
+
+    def test_every_request_completes_or_is_shed(self, reports):
+        for report in reports:
+            counts = report["requests"]
+            assert counts["completed"] + counts["shed"] == self.N_REQUESTS
+            assert counts["failed"] == 0

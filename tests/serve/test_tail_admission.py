@@ -49,6 +49,11 @@ def tail_outcome(tb2, models_tb2):
     return _serve(tb2, models_tb2, 99.0)
 
 
+@pytest.fixture(scope="module")
+def p95_outcome(tb2, models_tb2):
+    return _serve(tb2, models_tb2, 95.0)
+
+
 class TestTailBeatsMean:
     def test_same_request_stream(self, mean_outcome, tail_outcome):
         mean = serve_report(mean_outcome)["requests"]
@@ -62,6 +67,12 @@ class TestTailBeatsMean:
         assert tail["attainment"] > mean["attainment"]
         assert tail["met"] > mean["met"]
         assert tail["missed"] < mean["missed"]
+
+    def test_p95_never_worse_than_mean(self, mean_outcome, p95_outcome):
+        mean = serve_report(mean_outcome)["requests"]["slo"]
+        p95 = serve_report(p95_outcome)["requests"]["slo"]
+        assert p95["met"] >= mean["met"]
+        assert p95["missed"] <= mean["missed"]
 
     def test_pinned_numbers(self, mean_outcome, tail_outcome):
         mean = serve_report(mean_outcome)["requests"]["slo"]

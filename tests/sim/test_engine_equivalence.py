@@ -4,8 +4,8 @@
 stream, and ``tests/test_golden_documents.py`` pins the CLI documents.
 This module covers what those leave out: a *noisy* tile sweep replays
 event-for-event under the same seed, and a deep bidirectional chunk
-storm on one duplex link (the simulator-core benchmark's workload)
-conserves every byte and yields a trace that passes the structural
+storm on one duplex link conserves every byte, drains to the same
+makespan on every run, and yields a trace that passes the structural
 invariants, and contention arriving mid-storm is re-planned without
 losing or reordering a transfer.
 """
@@ -82,6 +82,16 @@ def test_mid_storm_contention_onset_conserves_and_slows_the_storm():
     assert link.stats(Direction.D2H).transfers == 1
     uncontended = 40 * (_H2D.latency + _CHUNK / _H2D.bandwidth)
     assert sim.now > uncontended
+
+
+def test_same_size_storms_drain_to_equal_makespans():
+    # A deep backlog in both directions: every chunk re-plans the
+    # other side's rate, so any order-dependence would move the end.
+    first, link = _storm(2000, 2000)
+    second, _ = _storm(2000, 2000)
+    assert link.stats(Direction.H2D).transfers == 2000
+    assert link.stats(Direction.D2H).transfers == 2000
+    assert first.now == second.now
 
 
 def test_storm_trace_passes_invariants():

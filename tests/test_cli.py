@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.params import Loc
 
 
 @pytest.fixture()
@@ -14,6 +17,140 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_ROUTINES = ["gemm", "gemv", "syrk", "axpy"]
+_SCALES = ["tiny", "quick", "paper"]
+_MACHINE = {
+    "machine": ("--machine", "testbed_ii", ["testbed_i", "testbed_ii"]),
+    "scale": ("--scale", "quick", _SCALES),
+    "db_dir": ("--db-dir", None, None),
+}
+_PROBLEM = {
+    "routine": (None, None, _ROUTINES),
+    "dims": (None, None, None),
+    "dtype": ("--dtype", "d", ["d", "s"]),
+    "model": ("--model", "auto", None),
+    "loc_a": ("--loc-a", Loc.HOST, None),
+    "loc_b": ("--loc-b", Loc.HOST, None),
+    "loc_c": ("--loc-c", Loc.HOST, None),
+}
+
+#: Every subcommand's options as dest -> (flag, default, choices).
+#: The documents and golden digests depend on these defaults, so any
+#: drift here is a behaviour change, not a refactor.
+PINNED_OPTIONS = {
+    "machines": {},
+    "deploy": {
+        **_MACHINE,
+        "force": ("--force", False, None),
+        "workers": ("--workers", 1, None),
+    },
+    "run": {
+        **_MACHINE, **_PROBLEM,
+        "library": ("--library", "cocopelia",
+                    ["blasx", "cocopelia", "cublasxt", "serial", "unified"]),
+        "tile": ("--tile", None, None),
+        "faults": ("--faults", None, None),
+    },
+    "profile": {
+        **_MACHINE, **_PROBLEM,
+        "tile": ("--tile", None, None),
+        "gpus": ("--gpus", 1, None),
+        "faults": ("--faults", None, None),
+        "out_dir": ("--out-dir", ".", None),
+    },
+    "summa": {
+        **_MACHINE,
+        "gpus": ("--gpus", 4, None),
+        "topology": ("--topology", "ring", ["ring", "all_to_all"]),
+        "gb_per_s": ("--gb-per-s", 8.0, None),
+        "latency": ("--latency", 5e-06, None),
+        "depth": ("--depth", 2, None),
+        "seed": ("--seed", 0, None),
+        "parallel": ("--parallel", None, None),
+        "out_dir": ("--out-dir", ".", None),
+    },
+    "serve": {
+        **_MACHINE,
+        "gpus": ("--gpus", 4, None),
+        "arrival": ("--arrival", "poisson", ["poisson", "bursty"]),
+        "rate": ("--rate", 50.0, None),
+        "requests": ("--requests", 64, None),
+        "workload_scale": ("--workload-scale", "tiny", _SCALES),
+        "seed": ("--seed", 0, None),
+        "placement": ("--placement", "model", ["model", "round_robin"]),
+        "admission": ("--admission", "shed", ["none", "shed", "downgrade"]),
+        "admission_percentile": ("--admission-percentile", None, None),
+        "deadline_fraction": ("--deadline-fraction", 0.75, None),
+        "slack_lo": ("--slack-lo", 2.0, None),
+        "slack_hi": ("--slack-hi", 8.0, None),
+        "burst_size": ("--burst-size", 8, None),
+        "model": ("--model", "auto", None),
+        "no_batching": ("--no-batching", False, None),
+        "no_host_offload": ("--no-host-offload", False, None),
+        "faults": ("--faults", None, None),
+        "out_dir": ("--out-dir", ".", None),
+    },
+    "chaos": {
+        **_MACHINE,
+        "scenario": ("--scenario", "kill-one-gpu",
+                     ["all-gpus-degraded", "flapping-device",
+                      "kill-one-gpu", "rolling-brownout"]),
+        "gpus": ("--gpus", 4, None),
+        "arrival": ("--arrival", "poisson", ["poisson", "bursty"]),
+        "rate": ("--rate", 8000.0, None),
+        "requests": ("--requests", 48, None),
+        "workload_scale": ("--workload-scale", "tiny", ["tiny", "quick"]),
+        "placement": ("--placement", "model", ["model", "round_robin"]),
+        "hedging": ("--hedging", False, None),
+        "seed": ("--seed", 0, None),
+        "out_dir": ("--out-dir", ".", None),
+    },
+    "cluster": {
+        **_MACHINE,
+        "nodes": ("--nodes", 4, None),
+        "gpus_per_node": ("--gpus-per-node", 2, None),
+        "router": ("--router", "predicted",
+                   ["predicted", "least_connections"]),
+        "arrival": ("--arrival", "bursty", ["poisson", "bursty"]),
+        "rate": ("--rate", 400.0, None),
+        "requests": ("--requests", 20000, None),
+        "workload_scale": ("--workload-scale", "tiny", _SCALES),
+        "admission": ("--admission", "shed", ["none", "shed", "downgrade"]),
+        "admission_percentile": ("--admission-percentile", None, None),
+        "seed": ("--seed", 0, None),
+        "no_autoscale": ("--no-autoscale", False, None),
+        "min_nodes": ("--min-nodes", 2, None),
+        "max_nodes": ("--max-nodes", 8, None),
+        "kill_node": ("--kill-node", None, None),
+        "out_dir": ("--out-dir", ".", None),
+    },
+    "select": {**_MACHINE, **_PROBLEM},
+    "experiment": {
+        "name": (None, None,
+                 ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
+                  "table2", "table3", "table4", "all"]),
+        "scale": ("--scale", "quick", _SCALES),
+        "workers": ("--workers", 1, None),
+    },
+}
+
+
+def _subcommand_options():
+    """{subcommand: {dest: (flag, default, choices)}} of the live parser."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {
+            a.dest: (a.option_strings[0] if a.option_strings else None,
+                     a.default,
+                     None if a.choices is None else list(a.choices))
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, parser in sub.choices.items()
+    }
 
 
 class TestMachines:
@@ -110,6 +247,9 @@ class TestExperiment:
 
 
 class TestParser:
+    def test_every_subcommand_option_is_pinned(self):
+        assert _subcommand_options() == PINNED_OPTIONS
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -8,6 +8,11 @@ behaviour (event order, link timing, serving decisions) or a document
 schema changed.  The golden dgemm event stream is pinned separately by
 ``tests/obs/test_golden_trace.py``.
 
+A pinned digest can hold a wrong answer as well as a right one, so the
+cluster run's behavioural floors are also checked on the freshly
+written document: the fleet must scale both up and down, and every
+request must be accounted for.
+
 Regenerate (only after an *intentional* behaviour or schema change)::
 
     PYTHONPATH=src python tests/test_golden_documents.py
@@ -33,6 +38,21 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def check_cluster_floors(out_dir):
+    with open(os.path.join(out_dir, "cluster.json")) as fh:
+        report = json.load(fh)["report"]
+    assert report["conservation"]["ok"], report["conservation"]
+    fleet = report["fleet"]
+    counts = fleet["requests"]
+    assert (counts["completed"] + counts["shed"] + counts["failed"]
+            == counts["total"]), counts
+    assert fleet["nodes_provisioned"] >= 4  # the initial fleet
+    latency = fleet["latency"]
+    assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"], latency
+    assert report["scaling"]["scale_ups"] >= 1, report["scaling"]
+    assert report["scaling"]["scale_downs"] >= 1, report["scaling"]
+
+
 def write_documents(argv, out_dir, db_dir):
     """Run one pinned command; return {file name: digest} of its output."""
     code = main(list(argv) + ["--db-dir", db_dir, "--out-dir", out_dir])
@@ -53,6 +73,8 @@ def test_documents_match_committed_digests(entry, tmp_path, db_dir,
                                            capsys):
     digests = write_documents(entry["argv"], str(tmp_path), db_dir)
     capsys.readouterr()
+    if entry["argv"][0] == "cluster":
+        check_cluster_floors(str(tmp_path))
     assert digests == entry["files"], (
         f"{' '.join(entry['argv'])} drifted from the golden digests")
 
